@@ -19,7 +19,7 @@ from .sim import (IndexThreshold, PolicyComparison, PolicyRow, RoundRobin,
                   compare_policies, run, step_aoi, write_trace_csv,
                   write_transmissions_csv)
 from .solver import (IndexTable, ThresholdSolution, build_index_table,
-                     g_value, optimal_policy, solve_threshold, tau_opt)
+                     g_value, solve_threshold, tau_opt)
 from .surface import (GENERATORS, BoundaryPolicy, LossSurface, SurfaceSpec,
                       generate_surface, load_surface, parse_generator_spec,
                       required_domain, save_surface)
@@ -65,7 +65,6 @@ __all__ = [
     "g_value",
     "generate_surface",
     "load_surface",
-    "optimal_policy",
     "parse_generator_spec",
     "required_domain",
     "run",

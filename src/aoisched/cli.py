@@ -22,8 +22,9 @@ import click
 import numpy as np
 
 from . import __version__
+# CostTable and build_index_table are imported only so perfbench/tracing.py can wrap them here
 from .cycles import (CostTable, Modality, StationaryPolicy, SystemConfig,
-                     cycle_duration)
+                     full_cycle_length)
 from .errors import BadSpec, BracketError, OutOfDomain, SurfaceError
 from .oracle import brute_force_optimal, verify_bellman
 from .sim import (IndexThreshold, RoundRobin, UniformRandom, compare_policies,
@@ -136,7 +137,7 @@ def main():
 # solve
 
 def _solution_payload(surface, config, tol, solution, surface_sha256):
-    table = build_index_table(surface, config)
+    table = solution.index_table
     return {
         "l_opt": solution.l_opt,
         "policy": {"tau1": solution.policy.tau1, "tau2": solution.policy.tau2},
@@ -327,17 +328,18 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # verify
 
-def _check_g_properties(surface, config, index_table, grid_points):
-    costs = CostTable(surface, config)
+def _check_g_properties(surface, config, costs, index_table, grid_points):
     bound = surface.bound_m if surface.bound_m > 0 else 1.0
     betas = np.linspace(-bound, bound, grid_points)
     values = [g_value(surface, config, index_table, float(b), costs=costs) for b in betas]
     diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     strictly_decreasing = all(d < 0 for d in diffs)
-    # float-noise allowance matches the concavity epsilon
-    eps = 1e-10
+    # a priori rounding of one g value, cost - beta * length: at most n terms,
+    # n the longest cycle, of total magnitude 2 * n * bound; a midpoint has three
+    n = full_cycle_length(config, StationaryPolicy(config.tau_max, config.tau_max))
+    eps = n * float(np.finfo(np.float64).eps) * n * 2.0 * bound
     concave = all(
-        values[i] >= 0.5 * (values[i - 1] + values[i + 1]) - eps
+        values[i] >= 0.5 * (values[i - 1] + values[i + 1]) - 2.0 * eps
         for i in range(1, len(values) - 1)
     )
     sign_ok = values[0] >= -eps and values[-1] <= eps
@@ -351,8 +353,7 @@ def _check_g_properties(surface, config, index_table, grid_points):
     }
 
 
-def _check_threshold_minimizer(surface, config, index_table, seed, n_betas):
-    costs = CostTable(surface, config)
+def _check_threshold_minimizer(surface, config, costs, index_table, seed, n_betas):
     rng = np.random.default_rng(seed)
     bound = surface.bound_m if surface.bound_m > 0 else 1.0
     mismatches = []
@@ -400,7 +401,6 @@ def verify(surface_path, gen_spec, d1, d2, t1, t2, tau_max, tol, seed, n_betas,
         config = SystemConfig(t1, t2, tau_max)
         surface, surface_tokens, sha = _resolve_surface(surface_path, gen_spec, d1, d2, config)
         solution = solve_threshold(surface, config, tol)
-        index_table = build_index_table(surface, config)
         l_checked = solution.l_opt + inject_perturb
 
         oracle = brute_force_optimal(surface, config)
@@ -416,8 +416,10 @@ def verify(surface_path, gen_spec, d1, d2, t1, t2, tau_max, tol, seed, n_betas,
                                   "tau2": oracle.best_policy.tau2},
             },
             "bellman": verify_bellman(surface, config, solution.policy, l_checked).to_dict(),
-            "g_properties": _check_g_properties(surface, config, index_table, grid_points),
-            "threshold_minimizer": _check_threshold_minimizer(surface, config, index_table,
+            "g_properties": _check_g_properties(surface, config, solution.costs,
+                                                solution.index_table, grid_points),
+            "threshold_minimizer": _check_threshold_minimizer(surface, config, solution.costs,
+                                                              solution.index_table,
                                                               seed, n_betas),
         }
     except _USAGE_ERRORS as exc:

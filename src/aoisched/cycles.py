@@ -9,18 +9,22 @@ tau more consecutive transmissions of the current modality and then one of the
 other, as a function of tau.  Everything downstream (index solver, oracle,
 simulator checks) is built on these sums.
 
-Summation order is fixed (runs outer, slots inner, ascending) so costs are
-bitwise-reproducible and match a slot-by-slot simulation of the same segment.
+``restart_path`` gathers the losses a half-cycle can visit; ``CostTable`` and
+the solver's index table are sums over it.  Summation order is fixed (runs
+outer, slots inner, ascending, from 0.0) and shared with ``cycle_cost``, the
+scalar reference, so every table is bitwise-reproducible and matches a
+slot-by-slot simulation of the same segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .surface import LossSurface
+import numpy as np
+
+from .errors import OutOfDomain
+from .surface import LossSurface, required_domain
 
 
 class Modality(IntEnum):
@@ -126,17 +130,53 @@ def cycle_cost(surface: "LossSurface", config: SystemConfig, modality: Modality,
     return total
 
 
+def restart_path(surface: LossSurface, config: SystemConfig, modality: Modality) -> np.ndarray:
+    """Losses of the slots that follow a restart of `modality`, gathered in one read.
+
+    Row j-1, column i is the loss i slots into the transmission that starts
+    after j transmissions of `modality` since its restart, j in 1..tau_max+1:
+    the j-th extra run when it repeats `modality` (i < t_own), the switch when
+    it does not (i < t_other).  Every half-cycle cost is a sum of these
+    entries.  No half-cycle runs past tau_max, so the last row holds the
+    switch only and its remaining entries are NaN.
+    """
+    d1_req, d2_req = required_domain(config)
+    if not surface.covers(d1_req, d2_req):
+        raise OutOfDomain(d1_req, d2_req, surface.d1_max, surface.d2_max,
+                          note=f"surface too small for t1={config.t1}, t2={config.t2}, "
+                               f"tau_max={config.tau_max}")
+    t_own = config.transmission_time(modality)
+    t_other = config.transmission_time(modality.other)
+    j = np.arange(1, config.tau_max + 2)[:, None]
+    i = np.arange(max(t_own, t_other))[None, :]
+    own_age, other_age = np.broadcast_arrays(t_own + i, j * t_own + t_other + i)
+    grid = surface.values if modality is Modality.M1 else surface.values.T
+    visited = (i < t_other) | (j <= config.tau_max)
+    path = np.full(visited.shape, np.nan)
+    path[visited] = grid[own_age[visited] - 1, other_age[visited] - 1]
+    return path
+
+
+def _half_cycle_costs(surface: LossSurface, config: SystemConfig,
+                      modality: Modality) -> tuple[float, ...]:
+    path = restart_path(surface, config, modality)
+    t_own = config.transmission_time(modality)
+    # running sum over the slots of runs 1..tau_max, read after every whole run
+    runs = np.concatenate(([0.0], path[:-1, :t_own].ravel()))
+    costs = np.cumsum(runs)[::t_own]
+    for i in range(config.transmission_time(modality.other)):
+        costs = costs + path[:, i]
+    return tuple(costs.tolist())
+
+
 class CostTable:
-    """Eagerly memoized half-cycle costs for every decision 0..tau_max."""
+    """Half-cycle costs for every decision 0..tau_max, bitwise equal to cycle_cost."""
 
     __slots__ = ("config", "c1", "c2")
 
     def __init__(self, surface: "LossSurface", config: SystemConfig):
         self.config = config
-        self.c1 = tuple(cycle_cost(surface, config, Modality.M1, tau)
-                        for tau in range(config.tau_max + 1))
-        self.c2 = tuple(cycle_cost(surface, config, Modality.M2, tau)
-                        for tau in range(config.tau_max + 1))
+        self.c1, self.c2 = (_half_cycle_costs(surface, config, m) for m in Modality)
 
     def cost(self, modality: Modality, tau: int) -> float:
         return (self.c1 if modality is Modality.M1 else self.c2)[tau]

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import CostTable, Modality, StationaryPolicy, SystemConfig, cycle_duration
+from .cycles import (CostTable, Modality, StationaryPolicy, SystemConfig, cycle_duration,
+                     full_cycle_length)
 from .surface import LossSurface
-
-TIE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,17 @@ class OracleReport:
         return float(self.table[policy.tau1, policy.tau2]) <= self.best_avg_cost + self.tie_tolerance
 
 
-def brute_force_optimal(surface: LossSurface, config: SystemConfig,
-                        tie_tolerance: float = TIE_TOLERANCE) -> OracleReport:
+def brute_force_optimal(surface: LossSurface, config: SystemConfig) -> OracleReport:
     """Average cost of every (tau1, tau2) pair; the minimum and all near-ties.
 
     Iteration order is tau1-major ascending, so the reported best policy is
     the lexicographically smallest exact minimizer and the tie list order is
-    deterministic.
+    deterministic.  Near-ties are within rounding of the minimum: an average
+    over at most n slots, the longest cycle, is off by n * eps * bound_m.
     """
     costs = CostTable(surface, config)
+    longest = full_cycle_length(config, StationaryPolicy(config.tau_max, config.tau_max))
+    tie_tolerance = 2.0 * longest * float(np.finfo(np.float64).eps) * surface.bound_m
     n = config.tau_max + 1
     table = np.empty((n, n), dtype=np.float64)
     best = float("inf")

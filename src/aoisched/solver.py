@@ -8,15 +8,24 @@ The optimal average loss itself is the unique root of a balance function g:
 total cycle cost of the threshold policy at beta, minus beta times its cycle
 length.  g is concave, continuous, and strictly decreasing, so bisection on a
 bracket derived from the surface bound always lands on the root.
+
+Both tables are sums over ``cycles.restart_path``, the losses one gather
+reads for each modality.  An index value's extension cost is built from row
+sums of that array: whole added runs, the switch that ends the extension,
+and the residue where the first added run and the displaced switch differ.
+``solve_threshold`` returns the tables it solved on, so no caller builds
+them a second time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .cycles import CostTable, Modality, StationaryPolicy, SystemConfig, cycle_duration
-from .errors import BracketError, OutOfDomain
-from .surface import LossSurface, required_domain
+import numpy as np
+
+from .cycles import CostTable, Modality, StationaryPolicy, SystemConfig, restart_path
+from .errors import BracketError
+from .surface import LossSurface
 
 _MAX_BISECT = 500
 
@@ -43,6 +52,14 @@ class IndexTable:
         return self.witness1 if modality is Modality.M1 else self.witness2
 
 
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    """Each row summed left to right from 0.0, one column at a time."""
+    total = np.zeros(block.shape[0])
+    for column in block.T:
+        total = total + column
+    return total
+
+
 def _index_column(surface: LossSurface, config: SystemConfig,
                   modality: Modality) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """Index values and witnesses for one modality.
@@ -54,74 +71,26 @@ def _index_column(surface: LossSurface, config: SystemConfig,
     the old and new switch segments cancel term-for-term and nothing is lost
     to float cancellation.
     """
+    tau_max = config.tau_max
     t_own = config.transmission_time(modality)
     t_other = config.transmission_time(modality.other)
-    ev = surface.eval
-
-    if modality is Modality.M1:
-        def term(x: int, i: int) -> float:
-            return ev(t_own + i, x + i)
-    else:
-        def term(x: int, i: int) -> float:
-            return ev(x + i, t_own + i)
-
-    def anchor(j: int) -> int:
-        # other-modality age at the start of the j-th same-modality run
-        return j * t_own + t_other
-
-    tau_max = config.tau_max
-    if tau_max == 0:
-        return (), ()
-
-    # cost of the j-th same-modality run (j >= 2 is all an extension ever adds whole)
-    blocks = {}
-    for j in range(2, tau_max + 1):
-        x = anchor(j)
-        s = 0.0
-        for i in range(t_own):
-            s += term(x, i)
-        blocks[j] = s
-
-    # cost of the switch segment when it happens after run tau
-    tails = {}
-    for tau in range(1, tau_max + 1):
-        x = anchor(tau + 1)
-        s = 0.0
-        for i in range(t_other):
-            s += term(x, i)
-        tails[tau] = s
-
-    def residue(theta: int) -> float:
-        # first added run minus the displaced switch segment; their slots
-        # coincide except for the overhang of the longer transmission time
-        x = anchor(theta + 1)
-        if t_own > t_other:
-            s = 0.0
-            for i in range(t_other, t_own):
-                s += term(x, i)
-            return s
-        if t_own < t_other:
-            s = 0.0
-            for i in range(t_own, t_other):
-                s += term(x, i)
-            return -s
-        return 0.0
+    path = restart_path(surface, config, modality)
+    # the first added run minus the displaced switch, per theta: their slots
+    # coincide except for the overhang of the longer transmission time
+    residue = _row_sums(path[:-1, min(t_own, t_other):max(t_own, t_other)])
+    if t_own < t_other:
+        residue = -residue
+    blocks = _row_sums(path[1:-1, :t_own])  # runs 2..tau_max, all an extension adds whole
+    tails = _row_sums(path[1:, :t_other])  # the switch after runs 1..tau_max
 
     gamma: list[float] = []
     witness: list[int] = []
     for theta in range(tau_max):
-        acc = residue(theta)
-        best = float("inf")
-        best_k = 0
-        for k in range(1, tau_max - theta + 1):
-            if k >= 2:
-                acc += blocks[theta + k]
-            rate = (acc + tails[theta + k]) / (k * t_own)
-            if rate < best:
-                best = rate
-                best_k = k
-        gamma.append(best)
-        witness.append(best_k)
+        acc = np.cumsum(np.concatenate(([residue[theta]], blocks[theta:])))
+        rates = (acc + tails[theta:]) / (t_own * np.arange(1, tau_max - theta + 1))
+        k = int(np.argmin(rates))  # the first minimum: ties go to the smallest k
+        gamma.append(float(rates[k]))
+        witness.append(k + 1)
     return tuple(gamma), tuple(witness)
 
 
@@ -143,20 +112,14 @@ def tau_opt(index_table: IndexTable, config: SystemConfig,
     return config.tau_max
 
 
-def _g(costs: CostTable, index_table: IndexTable, config: SystemConfig, beta: float) -> float:
+def g_value(surface: LossSurface, config: SystemConfig, index_table: IndexTable,
+            beta: float, *, costs: CostTable) -> float:
+    """Balance function at beta, from the cost and index tables of `surface`."""
     p1 = tau_opt(index_table, config, Modality.M1, beta)
     p2 = tau_opt(index_table, config, Modality.M2, beta)
     total_cost = costs.cost(Modality.M1, p1) + costs.cost(Modality.M2, p2)
     total_len = (p1 + 1) * config.t1 + (p2 + 1) * config.t2
     return total_cost - beta * total_len
-
-
-def g_value(surface: LossSurface, config: SystemConfig, index_table: IndexTable,
-            beta: float, costs: CostTable | None = None) -> float:
-    """Balance function at beta.  Pass a shared CostTable when sweeping many betas."""
-    if costs is None:
-        costs = CostTable(surface, config)
-    return _g(costs, index_table, config, beta)
 
 
 @dataclass(frozen=True)
@@ -166,6 +129,8 @@ class ThresholdSolution:
     ``bracket`` is the final bisection interval (width <= tol) and l_opt its
     midpoint; ``residual`` is g(l_opt).  ``saturated`` flags a policy pinned
     at tau_max, where a larger cap might still lower the average loss.
+    ``costs`` and ``index_table`` are the tables the root was found on, kept
+    so callers reuse them instead of building them again.
     """
 
     l_opt: float
@@ -174,6 +139,8 @@ class ThresholdSolution:
     residual: float
     bracket: tuple[float, float]
     saturated: bool
+    costs: CostTable = field(compare=False, repr=False)
+    index_table: IndexTable = field(compare=False, repr=False)
 
 
 def solve_threshold(surface: LossSurface, config: SystemConfig,
@@ -189,17 +156,11 @@ def solve_threshold(surface: LossSurface, config: SystemConfig,
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    d1_req, d2_req = required_domain(config)
-    if not surface.covers(d1_req, d2_req):
-        raise OutOfDomain(d1_req, d2_req, surface.d1_max, surface.d2_max,
-                          note=f"surface too small for t1={config.t1}, t2={config.t2}, "
-                               f"tau_max={config.tau_max}")
-
     costs = CostTable(surface, config)
     index_table = build_index_table(surface, config)
 
     def g(beta: float) -> float:
-        return _g(costs, index_table, config, beta)
+        return g_value(surface, config, index_table, beta, costs=costs)
 
     bound = surface.bound_m
     lo, hi = -bound, bound
@@ -238,11 +199,6 @@ def solve_threshold(surface: LossSurface, config: SystemConfig,
         residual=g(l_opt),
         bracket=(lo, hi),
         saturated=saturated,
+        costs=costs,
+        index_table=index_table,
     )
-
-
-def optimal_policy(surface: LossSurface, config: SystemConfig,
-                   tol: float = 1e-9) -> tuple[StationaryPolicy, float]:
-    """Convenience wrapper: (policy, l_opt) from solve_threshold."""
-    solution = solve_threshold(surface, config, tol)
-    return solution.policy, solution.l_opt

@@ -1,11 +1,11 @@
-"""Shared test helpers: hand-built surfaces and random instance sampling."""
+"""Shared test helpers: hand-built surfaces, random instance sampling, scalar references."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from aoisched import (LossSurface, SurfaceSpec, SystemConfig, generate_surface,
-                      required_domain)
+from aoisched import (LossSurface, Modality, SurfaceSpec, SystemConfig,
+                      generate_surface, required_domain)
 
 
 def make_surface(fn, d1: int, d2: int) -> LossSurface:
@@ -65,3 +65,87 @@ def random_instance(rng: np.random.Generator):
     d1_req, d2_req = required_domain(config)
     surface = generate_surface(SurfaceSpec(name, d1_req, d2_req, params))
     return surface, config, name
+
+
+# The index solver's scalar engine, kept as the reference the gathered
+# index table must reproduce bitwise.
+def reference_index_column(surface: LossSurface, config: SystemConfig,
+                           modality: Modality) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Index values and witnesses for one modality.
+
+    The extension cost (half-cycle cost at theta+k minus at theta) telescopes
+    into a sum over only the slots that actually differ, so it is computed
+    directly from those terms instead of subtracting two large memoized
+    totals.  That keeps the k=1 entries exact: with equal transmission times
+    the old and new switch segments cancel term-for-term and nothing is lost
+    to float cancellation.
+    """
+    t_own = config.transmission_time(modality)
+    t_other = config.transmission_time(modality.other)
+    ev = surface.eval
+
+    if modality is Modality.M1:
+        def term(x: int, i: int) -> float:
+            return ev(t_own + i, x + i)
+    else:
+        def term(x: int, i: int) -> float:
+            return ev(x + i, t_own + i)
+
+    def anchor(j: int) -> int:
+        # other-modality age at the start of the j-th same-modality run
+        return j * t_own + t_other
+
+    tau_max = config.tau_max
+    if tau_max == 0:
+        return (), ()
+
+    # cost of the j-th same-modality run (j >= 2 is all an extension ever adds whole)
+    blocks = {}
+    for j in range(2, tau_max + 1):
+        x = anchor(j)
+        s = 0.0
+        for i in range(t_own):
+            s += term(x, i)
+        blocks[j] = s
+
+    # cost of the switch segment when it happens after run tau
+    tails = {}
+    for tau in range(1, tau_max + 1):
+        x = anchor(tau + 1)
+        s = 0.0
+        for i in range(t_other):
+            s += term(x, i)
+        tails[tau] = s
+
+    def residue(theta: int) -> float:
+        # first added run minus the displaced switch segment; their slots
+        # coincide except for the overhang of the longer transmission time
+        x = anchor(theta + 1)
+        if t_own > t_other:
+            s = 0.0
+            for i in range(t_other, t_own):
+                s += term(x, i)
+            return s
+        if t_own < t_other:
+            s = 0.0
+            for i in range(t_own, t_other):
+                s += term(x, i)
+            return -s
+        return 0.0
+
+    gamma: list[float] = []
+    witness: list[int] = []
+    for theta in range(tau_max):
+        acc = residue(theta)
+        best = float("inf")
+        best_k = 0
+        for k in range(1, tau_max - theta + 1):
+            if k >= 2:
+                acc += blocks[theta + k]
+            rate = (acc + tails[theta + k]) / (k * t_own)
+            if rate < best:
+                best = rate
+                best_k = k
+        gamma.append(best)
+        witness.append(best_k)
+    return tuple(gamma), tuple(witness)

@@ -3,11 +3,14 @@
 import filecmp
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from aoisched import load_surface
-from aoisched.cli import main
+from aoisched import (CostTable, Modality, SurfaceSpec, SystemConfig,
+                      generate_surface, load_surface, required_domain,
+                      solve_threshold, tau_opt)
+from aoisched.cli import _check_g_properties, main
 
 
 @pytest.fixture
@@ -188,6 +191,41 @@ class TestVerify:
                          + ["--inject-perturb", "1.0", "--out", str(out)])
         assert result.exit_code == 2
         assert json.loads((out / "report.json").read_text())["ok"] is False
+
+    @pytest.mark.parametrize("args", [
+        # g reaches 1e6, where one ulp is far above an absolute 1e-10
+        ["--gen", "aoi_sum", "--t1", "2", "--t2", "3", "--tau-max", "150"],
+        # every policy ties exactly; the long cycle sums round apart by more than 1e-12
+        ["--gen", "constant:value=37.31", "--t1", "2", "--t2", "8", "--tau-max", "250"],
+    ])
+    def test_rounding_is_not_a_failure(self, runner, args):
+        result = _invoke(runner, ["verify"] + args)
+        assert result.exit_code == 0, result.output
+
+    def test_cost_offset_beyond_rounding_fails_concavity(self):
+        """On this constant surface g is linear on the beta grid past its first
+        point, where the policy switches from (0, 0) to (tau_max, tau_max).
+        Lowering the cost of tau1 = tau_max by more than twice the per-value
+        rounding allowance makes the second grid point break concavity."""
+        config = SystemConfig(2, 3, 40)
+        surface = generate_surface(SurfaceSpec("constant", *required_domain(config),
+                                               {"value": -0.5}))
+        solution = solve_threshold(surface, config)
+        index = solution.index_table
+        assert tau_opt(index, config, Modality.M1, -0.5) == 0
+        assert tau_opt(index, config, Modality.M1, -0.49) == config.tau_max
+        n = (config.tau_max + 1) * (config.t1 + config.t2)
+        per_value = n * float(np.finfo(np.float64).eps) * n * 2.0 * surface.bound_m
+
+        def check(offset):
+            costs = CostTable(surface, config)
+            costs.c1 = costs.c1[:-1] + (costs.c1[-1] - offset,)
+            return _check_g_properties(surface, config, costs, index, 200)
+
+        assert check(0.0)["ok"]
+        assert check(per_value)["ok"]
+        report = check(5.0 * per_value)
+        assert not report["midpoint_concave"] and report["strictly_decreasing"]
 
 
 class TestGenSurface:

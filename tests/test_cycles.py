@@ -2,14 +2,31 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoisched import (CostTable, Modality, RestartState, StationaryPolicy,
-                      SurfaceSpec, SystemConfig, cycle_cost, cycle_duration,
-                      full_cycle_length, generate_surface,
-                      stationary_average_cost)
-from helpers import make_surface, monotone_random_surface
+                      SurfaceSpec, SystemConfig, build_index_table, cycle_cost,
+                      cycle_duration, full_cycle_length, generate_surface,
+                      required_domain, stationary_average_cost)
+from helpers import make_surface, monotone_random_surface, reference_index_column
+
+
+# (generator, params) pairs for all five generators, over wide parameter ranges
+GENERATOR_PARAMS = st.one_of(
+    st.builds(lambda v: ("constant", {"value": v}), st.floats(-50.0, 50.0)),
+    st.just(("aoi_sum", {})),
+    st.builds(lambda a, b: ("aoi_weighted", {"w1": a, "w2": b}),
+              st.floats(0.05, 4.0), st.floats(0.05, 4.0)),
+    st.builds(lambda a, b: ("monotone_power", {"p1": a, "p2": b}),
+              st.floats(0.0, 1.6), st.floats(0.0, 1.6)),
+    st.builds(lambda d, c, p1, p2: ("nonmono_nonsep", {"dip": d, "cross": c, "p1": p1, "p2": p2}),
+              st.floats(0.0, 3.0), st.floats(-3.0, 3.0), st.floats(2.0, 40.0), st.floats(2.0, 40.0)),
+)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 @pytest.fixture
@@ -116,15 +133,29 @@ class TestCycleCost:
 
 
 class TestCostTable:
-    def test_matches_cycle_cost_bitwise(self):
-        rng = np.random.default_rng(3)
-        config = SystemConfig(2, 3, 7)
-        from aoisched import required_domain
-        s = monotone_random_surface(rng, *required_domain(config))
+    @settings(max_examples=60, deadline=None)
+    @given(GENERATOR_PARAMS, st.integers(1, 6), st.integers(1, 6), st.integers(0, 24))
+    @example(("constant", {"value": -0.0}), 2, 3, 7)  # an unseeded sum gives -0.0
+    @example(("nonmono_nonsep", {}), 2, 3, 0)
+    @example(("aoi_sum", {}), 5, 2, 9)
+    def test_matches_cycle_cost_bitwise(self, generator, t1, t2, tau_max):
+        """Both gathered tables equal the scalar references bit for bit, as Python
+        floats: a numpy scalar would change the CLI's repr output."""
+        config = SystemConfig(t1, t2, tau_max)
+        name, params = generator
+        s = generate_surface(SurfaceSpec(name, *required_domain(config), params))
         table = CostTable(s, config)
-        for tau in range(8):
-            assert table.cost(Modality.M1, tau) == cycle_cost(s, config, Modality.M1, tau)
-            assert table.cost(Modality.M2, tau) == cycle_cost(s, config, Modality.M2, tau)
+        index = build_index_table(s, config)
+        for modality, costs, gamma, witness in (
+                (Modality.M1, table.c1, index.gamma1, index.witness1),
+                (Modality.M2, table.c2, index.gamma2, index.witness2)):
+            scalar = [cycle_cost(s, config, modality, tau) for tau in range(tau_max + 1)]
+            assert np.array_equal(_bits(costs), _bits(scalar))
+            ref_gamma, ref_witness = reference_index_column(s, config, modality)
+            assert np.array_equal(_bits(gamma), _bits(ref_gamma))
+            assert witness == ref_witness
+            assert all(type(v) is float for v in costs + gamma)
+            assert all(type(k) is int for k in witness)
 
 
 class TestStationaryAverage:

@@ -47,6 +47,29 @@ class TestBruteForce:
         assert report.ties == (StationaryPolicy(0, 0),)
         assert not report.is_tie(StationaryPolicy(1, 0))
 
+    def test_large_constant_surface_everything_ties(self):
+        """The long cycle sums round apart by more than 1e-12, but within the
+        a-priori bound the tolerance is derived from."""
+        config = SystemConfig(2, 8, 250)
+        surface = generate_surface(SurfaceSpec("constant", *required_domain(config),
+                                               {"value": 37.31}))
+        report = brute_force_optimal(surface, config)
+        n = (config.tau_max + 1) * (config.t1 + config.t2)
+        eps = float(np.finfo(np.float64).eps)
+        assert report.tie_tolerance == pytest.approx(2.0 * n * eps * 37.31, rel=1e-12)
+        assert len(report.ties) == (config.tau_max + 1) ** 2
+
+    def test_excess_beyond_tolerance_is_not_a_tie(self):
+        config = SystemConfig(2, 3, 12)
+        surface = generate_surface(SurfaceSpec("nonmono_nonsep", *required_domain(config), {}))
+        report = brute_force_optimal(surface, config)
+        excess = report.table - report.best_avg_cost
+        beyond = np.where(excess > report.tie_tolerance, excess, np.inf)
+        a, b = np.unravel_index(np.argmin(beyond), beyond.shape)
+        assert np.isfinite(beyond[a, b])
+        assert not report.is_tie(StationaryPolicy(int(a), int(b)))
+        assert StationaryPolicy(int(a), int(b)) not in report.ties
+
     def test_table_is_read_only(self, unit_instance):
         surface, config = unit_instance
         report = brute_force_optimal(surface, config)

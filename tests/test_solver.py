@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from aoisched import (BracketError, Modality, StationaryPolicy, SurfaceSpec,
-                      SystemConfig, build_index_table, cycle_cost,
-                      generate_surface, g_value, optimal_policy,
-                      required_domain, solve_threshold,
-                      stationary_average_cost, tau_opt)
+from aoisched import (BracketError, CostTable, Modality, StationaryPolicy,
+                      SurfaceSpec, SystemConfig, build_index_table, cycle_cost,
+                      generate_surface, g_value, required_domain,
+                      solve_threshold, stationary_average_cost, tau_opt)
 from helpers import make_surface, monotone_random_surface, random_instance
 
 
@@ -127,8 +126,9 @@ class TestBalanceFunction:
         config = SystemConfig(1, 1, 3)
         s = generate_surface(SurfaceSpec("aoi_sum", 5, 5, {}))
         table = build_index_table(s, config)
-        assert g_value(s, config, table, 0.0) == 6.0
-        assert g_value(s, config, table, 3.0) == 0.0
+        costs = CostTable(s, config)
+        assert g_value(s, config, table, 0.0, costs=costs) == 6.0
+        assert g_value(s, config, table, 3.0, costs=costs) == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_strictly_decreasing(self, seed):
@@ -137,7 +137,8 @@ class TestBalanceFunction:
         table = build_index_table(surface, config)
         m = surface.bound_m
         betas = np.linspace(-m, m, 80) if m > 0 else np.linspace(-1, 1, 80)
-        values = [g_value(surface, config, table, float(b)) for b in betas]
+        costs = CostTable(surface, config)
+        values = [g_value(surface, config, table, float(b), costs=costs) for b in betas]
         assert all(values[i + 1] < values[i] for i in range(len(values) - 1))
 
 
@@ -212,10 +213,3 @@ class TestSolveThreshold:
         s.bound_m = 0.5
         with pytest.raises(BracketError):
             solve_threshold(s, config)
-
-    def test_optimal_policy_wrapper(self):
-        config = SystemConfig(1, 1, 3)
-        s = generate_surface(SurfaceSpec("aoi_sum", 5, 5, {}))
-        policy, l_opt = optimal_policy(s, config)
-        assert policy == StationaryPolicy(0, 0)
-        assert l_opt == pytest.approx(3.0, abs=1e-8)
