@@ -15,12 +15,11 @@ from .errors import (BadSpec, BracketError, HoleError, NonFiniteError,
 from .oracle import (BellmanCheck, OracleReport, brute_force_optimal,
                      verify_bellman)
 from .sim import (IndexThreshold, PolicyComparison, PolicyRow, RoundRobin,
-                  SimState, SimSummary, SimTrace, Transmission, UniformRandom,
-                  compare_policies, run, step_aoi, write_trace_csv,
-                  write_transmissions_csv)
+                  SimSummary, SimTrace, UniformRandom, compare_policies, run,
+                  write_trace_csv, write_transmissions_csv)
 from .solver import (IndexTable, ThresholdSolution, build_index_table,
                      g_value, solve_threshold, tau_opt)
-from .surface import (GENERATORS, BoundaryPolicy, LossSurface, SurfaceSpec,
+from .surface import (GENERATORS, LossSurface, SurfaceSpec,
                       generate_surface, load_surface, parse_generator_spec,
                       required_domain, save_surface)
 
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BadSpec",
     "BellmanCheck",
-    "BoundaryPolicy",
     "BracketError",
     "CostTable",
     "GENERATORS",
@@ -46,7 +44,6 @@ __all__ = [
     "PolicyRow",
     "RestartState",
     "RoundRobin",
-    "SimState",
     "SimSummary",
     "SimTrace",
     "StationaryPolicy",
@@ -54,7 +51,6 @@ __all__ = [
     "SurfaceSpec",
     "SystemConfig",
     "ThresholdSolution",
-    "Transmission",
     "UniformRandom",
     "brute_force_optimal",
     "build_index_table",
@@ -71,7 +67,6 @@ __all__ = [
     "save_surface",
     "solve_threshold",
     "stationary_average_cost",
-    "step_aoi",
     "tau_opt",
     "verify_bellman",
     "write_trace_csv",

@@ -30,9 +30,8 @@ from .oracle import brute_force_optimal, verify_bellman
 from .sim import (IndexThreshold, RoundRobin, UniformRandom, compare_policies,
                   run, write_trace_csv, write_transmissions_csv)
 from .solver import build_index_table, g_value, solve_threshold, tau_opt
-from .surface import (BoundaryPolicy, SurfaceSpec, generate_surface,
-                      load_surface, parse_generator_spec, required_domain,
-                      save_surface)
+from .surface import (SurfaceSpec, generate_surface, load_surface,
+                      parse_generator_spec, required_domain, save_surface)
 
 _USAGE_ERRORS = (SurfaceError, BadSpec, OutOfDomain, BracketError, OSError, ValueError)
 
@@ -111,7 +110,7 @@ def _resolve_surface(surface_path, gen_spec, d1, d2, config):
     if (surface_path is None) == (gen_spec is None):
         _fail("exactly one of --surface or --gen is required")
     if surface_path is not None:
-        surface = load_surface(surface_path, BoundaryPolicy.STRICT)
+        surface = load_surface(surface_path)
         return surface, ["--surface", surface_path], _digest(surface)
     name, params = parse_generator_spec(gen_spec)
     d1_req, d2_req = required_domain(config)

@@ -1,4 +1,4 @@
-"""Slot-level discrete-event simulator for two-modality transmission policies.
+"""Slot-level simulator for two-modality transmission policies.
 
 The channel carries one feature at a time; a transmission of modality m
 started at slot S delivers at slot S + t_m, at which instant that modality's
@@ -8,54 +8,24 @@ age vector after applying that slot's delivery, so a segment of simulated
 slots from one restart state to just before the next reproduces the analytic
 half-cycle cost term for term.
 
-Simulations always evaluate the surface in CLAMP mode through a fresh view:
-random policies make ages unbounded, and the number of clamped lookups is
-reported in the summary rather than aborting a long run.
+A run is computed with arrays: the decisions fix every delivery slot, each
+age is t_m + t minus its modality's last delivery, and the losses are one
+gather from the grid.  Random policies make ages unbounded, so a slot whose
+age pair lies beyond the grid reads the nearest edge cell and is counted in
+the summary's ``clamp_count`` rather than aborting a long run.  The surface
+itself is only read.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cycles import (Modality, RestartState, StationaryPolicy, SystemConfig,
                      full_cycle_length)
-from .surface import BoundaryPolicy, LossSurface
-
-
-@dataclass(frozen=True, slots=True)
-class InFlight:
-    """The transmission currently occupying the channel."""
-
-    modality: Modality
-    start: int
-    delivery: int
-
-
-@dataclass(frozen=True, slots=True)
-class SimState:
-    t: int
-    aoi: tuple[int, int]
-    in_flight: InFlight | None
-
-
-def step_aoi(state: SimState, config: SystemConfig) -> SimState:
-    """Advance one slot: ages grow by one, except a delivery resets its modality.
-
-    A completed transmission leaves ``in_flight`` empty; the policy layer fills
-    it again at the same slot.
-    """
-    t = state.t + 1
-    a1, a2 = state.aoi
-    tx = state.in_flight
-    if tx is not None and tx.delivery == t:
-        if tx.modality is Modality.M1:
-            return SimState(t, (config.t1, a2 + 1), None)
-        return SimState(t, (a1 + 1, config.t2), None)
-    return SimState(t, (a1 + 1, a2 + 1), tx)
+from .surface import LossSurface
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +58,8 @@ class UniformRandom:
 PolicyKind = IndexThreshold | RoundRobin | UniformRandom
 
 
-def _decider(policy: PolicyKind, initial_state: RestartState, config: SystemConfig):
-    """Stateful decision stream, returning modality ints in transmission order."""
-    first = initial_state.modality
+def _decisions(policy: PolicyKind, first: Modality, config: SystemConfig, n: int) -> np.ndarray:
+    """The first n decisions (modality ints, in transmission order) from restart state ``first``."""
     if isinstance(policy, IndexThreshold):
         tau1, tau2 = policy.policy.tau1, policy.policy.tau2
         if tau1 > config.tau_max or tau2 > config.tau_max:
@@ -98,18 +67,14 @@ def _decider(policy: PolicyKind, initial_state: RestartState, config: SystemConf
         phase1 = [1] * tau1 + [2]
         phase2 = [2] * tau2 + [1]
         pattern = phase1 + phase2 if first is Modality.M1 else phase2 + phase1
-        return itertools.cycle(pattern).__next__
+        return np.resize(np.array(pattern, dtype=np.int64), n)
     if isinstance(policy, RoundRobin):
         start = 2 if first is Modality.M1 else 1
-        return itertools.cycle([start, 3 - start]).__next__
+        return np.resize(np.array([start, 3 - start], dtype=np.int64), n)
     if isinstance(policy, UniformRandom):
+        # one bulk draw is the same stream as n single draws
         rng = np.random.Generator(np.random.PCG64(policy.seed))
-        draw = rng.integers
-
-        def next_random() -> int:
-            return 1 + int(draw(0, 2))
-
-        return next_random
+        return 1 + rng.integers(0, 2, size=n)
     raise TypeError(f"unknown policy kind {policy!r}")
 
 
@@ -123,14 +88,6 @@ def _policy_label(policy: PolicyKind) -> str:
 
 # ---------------------------------------------------------------------------
 # traces
-
-@dataclass(frozen=True, slots=True)
-class Transmission:
-    n: int
-    modality: Modality
-    start: int
-    delivery: int
-
 
 @dataclass(frozen=True)
 class SimSummary:
@@ -163,12 +120,16 @@ class SimSummary:
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Per-slot ages and losses (including warmup slots), transmissions, and the summary."""
+    """Per-slot ages and losses (including warmup slots), transmissions, and the summary.
+
+    ``transmissions`` is an int64 array with one row per transmission and the
+    columns (modality, start, delivery).
+    """
 
     delta1: np.ndarray
     delta2: np.ndarray
     loss: np.ndarray
-    transmissions: tuple[Transmission, ...]
+    transmissions: np.ndarray
     summary: SimSummary
 
     @property
@@ -182,8 +143,9 @@ def run(surface: LossSurface, config: SystemConfig, policy: PolicyKind, horizon:
 
     The trace records every simulated slot; the summary statistics cover only
     the last ``horizon`` slots, so ``avg_loss == total_loss / horizon`` holds
-    exactly.  The given surface is never mutated: lookups go through a fresh
-    CLAMP-mode view whose clamp count lands in the summary.
+    exactly.  ``total_loss`` adds the losses one slot at a time, starting from
+    0.0.  A slot whose age pair lies beyond the grid reads the loss at the
+    ages clamped to the grid edge and counts once in ``clamp_count``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -191,45 +153,44 @@ def run(surface: LossSurface, config: SystemConfig, policy: PolicyKind, horizon:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     if initial_state is None:
         initial_state = RestartState(Modality.M1)
-
-    view = surface.with_boundary(BoundaryPolicy.CLAMP)
-    decide = _decider(policy, initial_state, config)
-    ev = view.eval
-    t1, t2 = config.t1, config.t2
     total_slots = warmup + horizon
 
-    d1 = np.empty(total_slots, dtype=np.int64)
-    d2 = np.empty(total_slots, dtype=np.int64)
-    loss = np.empty(total_slots, dtype=np.float64)
-    transmissions: list[Transmission] = []
+    # every transmission lasts at least one slot, so total_slots decisions suffice
+    decisions = _decisions(policy, initial_state.modality, config, total_slots)
+    durations = np.where(decisions == 1, config.t1, config.t2)
+    deliveries = np.cumsum(durations)
+    # transmission k > 0 starts at delivery k - 1; keep those starting before the last slot
+    n_tx = 1 + int(np.searchsorted(deliveries, total_slots))
+    transmissions = np.empty((n_tx, 3), dtype=np.int64)
+    transmissions[:, 0] = decisions[:n_tx]
+    transmissions[0, 1] = 0
+    transmissions[1:, 1] = deliveries[:n_tx - 1]
+    transmissions[:, 2] = deliveries[:n_tx]
+    del decisions, durations, deliveries
 
-    a1, a2 = initial_state.aoi_vector(config)
-    m = decide()
-    delivery = t1 if m == 1 else t2
-    transmissions.append(Transmission(0, Modality(m), 0, delivery))
+    slots = np.arange(total_slots, dtype=np.int64)
+    delivered = transmissions[:n_tx - 1]  # the last delivery may fall past the trace
+    ages = []
+    for m, t_m, age0 in zip((1, 2), (config.t1, config.t2), initial_state.aoi_vector(config)):
+        # age = t_m + t - last delivery, seeded so that slot 0 holds the restart age
+        last = np.full(total_slots, t_m - age0, dtype=np.int64)
+        at = delivered[delivered[:, 0] == m, 2]
+        last[at] = at
+        np.maximum.accumulate(last, out=last)
+        np.subtract(slots, last, out=last)
+        last += t_m
+        ages.append(last)
+    d1, d2 = ages
+    del slots
 
-    for t in range(total_slots):
-        if t > 0:
-            if t == delivery:
-                if m == 1:
-                    a1 = t1
-                    a2 += 1
-                else:
-                    a2 = t2
-                    a1 += 1
-                m = decide()
-                delivery = t + (t1 if m == 1 else t2)
-                transmissions.append(Transmission(len(transmissions), Modality(m), t, delivery))
-            else:
-                a1 += 1
-                a2 += 1
-        d1[t] = a1
-        d2[t] = a2
-        loss[t] = ev(a1, a2)
+    loss = surface.values[np.minimum(d1, surface.d1_max) - 1,
+                          np.minimum(d2, surface.d2_max) - 1]
+    clamp_count = int(np.count_nonzero((d1 > surface.d1_max) | (d2 > surface.d2_max)))
 
-    total_loss = 0.0
-    for x in loss[warmup:].tolist():
-        total_loss += x
+    # a running sum seeded with 0.0, as a slot-by-slot loop adds: it turns an
+    # all -0.0 tail into 0.0, where an unseeded cumsum would keep -0.0
+    tail = np.concatenate(([0.0], loss[warmup:]))
+    total_loss = float(np.cumsum(tail, out=tail)[-1])
     avg_loss = total_loss / horizon
 
     seed = policy.seed if isinstance(policy, UniformRandom) else None
@@ -241,12 +202,12 @@ def run(surface: LossSurface, config: SystemConfig, policy: PolicyKind, horizon:
         warmup=warmup,
         total_loss=total_loss,
         avg_loss=avg_loss,
-        clamp_count=view.clamp_count,
+        clamp_count=clamp_count,
         seed=seed,
         tau1=tau1,
         tau2=tau2,
     )
-    return SimTrace(d1, d2, loss, tuple(transmissions), summary)
+    return SimTrace(d1, d2, loss, transmissions, summary)
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
@@ -264,8 +225,8 @@ def write_transmissions_csv(trace: SimTrace, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "modality", "start", "delivery"])
-        for tx in trace.transmissions:
-            writer.writerow([tx.n, int(tx.modality), tx.start, tx.delivery])
+        for n, (modality, start, delivery) in enumerate(trace.transmissions.tolist()):
+            writer.writerow([n, modality, start, delivery])
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,10 @@ generated, so they start at 1, never 0.  Values may be negative; the only
 structural requirement is finiteness, and ``bound_m`` records the largest
 absolute value on the grid.
 
-Two boundary policies govern lookups beyond the grid.  STRICT raises
-OutOfDomain and is the right mode for the solver, whose queries are provably
-confined to ``required_domain``.  CLAMP projects onto the nearest stored cell
-and counts how often it had to, which is what a long random-policy simulation
-needs, since ages are unbounded there.
+``LossSurface.eval`` raises OutOfDomain beyond the grid: the solver's queries
+are provably confined to ``required_domain``.  The simulator, whose random
+policies make ages unbounded, reads the grid edge itself and counts how often
+it had to (``sim.run``).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,41 +29,28 @@ if TYPE_CHECKING:
     from .cycles import SystemConfig
 
 
-class BoundaryPolicy(Enum):
-    """Behavior of eval() for age pairs beyond the stored grid."""
-
-    STRICT = "strict"
-    CLAMP = "clamp"
-
-
 class LossSurface:
-    """Dense loss grid with a boundary policy and a per-instance clamp counter.
+    """Dense loss grid, immutable once built (a read-only float64 array).
 
-    The grid itself is immutable (a read-only float64 array).  The clamp
-    counter is the only mutable piece of state; create a fresh view with
-    :meth:`with_boundary` per simulation run instead of sharing one surface
-    across concurrent consumers.
+    A surface holds no other state, so one instance can be shared by any
+    number of solver calls, simulations and worker processes.
     """
 
-    __slots__ = ("_values", "d1_max", "d2_max", "boundary_policy", "bound_m", "clamp_count")
+    __slots__ = ("_values", "d1_max", "d2_max", "bound_m")
 
-    def __init__(self, values, boundary_policy: BoundaryPolicy = BoundaryPolicy.STRICT):
+    def __init__(self, values):
         grid = np.asarray(values, dtype=np.float64)
         if grid.ndim != 2 or grid.shape[0] < 1 or grid.shape[1] < 1:
             raise ValueError(f"surface values must be a non-empty 2-d grid, got shape {grid.shape}")
         if not np.isfinite(grid).all():
             bad = np.argwhere(~np.isfinite(grid))[0]
             raise NonFiniteError(f"non-finite loss at ({bad[0] + 1}, {bad[1] + 1})")
-        if not isinstance(boundary_policy, BoundaryPolicy):
-            raise TypeError(f"boundary_policy must be a BoundaryPolicy, got {boundary_policy!r}")
         grid = np.ascontiguousarray(grid)
         grid.setflags(write=False)
         self._values = grid
         self.d1_max = int(grid.shape[0])
         self.d2_max = int(grid.shape[1])
-        self.boundary_policy = boundary_policy
         self.bound_m = float(np.max(np.abs(grid)))
-        self.clamp_count = 0
 
     @property
     def values(self) -> np.ndarray:
@@ -73,38 +58,25 @@ class LossSurface:
         return self._values
 
     def eval(self, delta1: int, delta2: int) -> float:
-        """Loss at ages (delta1, delta2); both must be >= 1.
+        """Loss at ages (delta1, delta2); both must be >= 1 and inside the grid.
 
-        STRICT raises OutOfDomain beyond the grid.  CLAMP projects the
-        offending coordinate(s) to the grid edge and bumps ``clamp_count``
-        once per clamped lookup.
+        Raises OutOfDomain beyond the grid.
         """
         if delta1 < 1 or delta2 < 1:
             raise ValueError(f"ages must be >= 1, got ({delta1}, {delta2})")
         if delta1 > self.d1_max or delta2 > self.d2_max:
-            if self.boundary_policy is BoundaryPolicy.STRICT:
-                raise OutOfDomain(delta1, delta2, self.d1_max, self.d2_max)
-            self.clamp_count += 1
-            if delta1 > self.d1_max:
-                delta1 = self.d1_max
-            if delta2 > self.d2_max:
-                delta2 = self.d2_max
+            raise OutOfDomain(delta1, delta2, self.d1_max, self.d2_max)
         return float(self._values[delta1 - 1, delta2 - 1])
-
-    def with_boundary(self, boundary_policy: BoundaryPolicy) -> "LossSurface":
-        """New surface sharing this grid, with the given policy and a zeroed clamp counter."""
-        return LossSurface(self._values, boundary_policy)
 
     def covers(self, d1_req: int, d2_req: int) -> bool:
         return self.d1_max >= d1_req and self.d2_max >= d2_req
 
     def __reduce__(self):
-        # clamp counters are per-process scratch state; a pickled copy starts at zero
-        return (LossSurface, (np.asarray(self._values), self.boundary_policy))
+        # rebuild through __init__, which makes the unpickled grid read-only again
+        return (LossSurface, (self._values,))
 
     def __repr__(self) -> str:
-        return (f"LossSurface({self.d1_max}x{self.d2_max}, "
-                f"{self.boundary_policy.value}, bound_m={self.bound_m!r})")
+        return f"LossSurface({self.d1_max}x{self.d2_max}, bound_m={self.bound_m!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +135,7 @@ def _resolve_params(generator: str, given: dict[str, float]) -> dict[str, float]
     return resolved
 
 
-def generate_surface(spec: SurfaceSpec,
-                     boundary_policy: BoundaryPolicy = BoundaryPolicy.STRICT) -> LossSurface:
+def generate_surface(spec: SurfaceSpec) -> LossSurface:
     """Evaluate a generator spec on its grid.  Deterministic: equal specs give bitwise-equal grids."""
     if spec.d1_max < 1 or spec.d2_max < 1:
         raise BadSpec(f"grid dimensions must be >= 1, got {spec.d1_max}x{spec.d2_max}")
@@ -193,7 +164,7 @@ def generate_surface(spec: SurfaceSpec,
         grid = p["base"] + p["a1"] * g1 + p["a2"] * g2 + p["cross"] * g1 * g2 - p["dip"] * ripple
     else:  # pragma: no cover - _resolve_params already rejected it
         raise BadSpec(f"unknown generator {name!r}")
-    return LossSurface(grid, boundary_policy)
+    return LossSurface(grid)
 
 
 def parse_generator_spec(text: str) -> tuple[str, dict[str, float]]:
@@ -243,7 +214,7 @@ def parse_generator_spec(text: str) -> tuple[str, dict[str, float]]:
 _CSV_HEADER = ["delta1", "delta2", "loss"]
 
 
-def load_surface(path, boundary_policy: BoundaryPolicy = BoundaryPolicy.STRICT) -> LossSurface:
+def load_surface(path) -> LossSurface:
     """Load a surface from CSV (``delta1,delta2,loss``) or JSON (by ``.json`` extension).
 
     The grid size is inferred from the largest coordinates present; every cell
@@ -251,11 +222,11 @@ def load_surface(path, boundary_policy: BoundaryPolicy = BoundaryPolicy.STRICT) 
     """
     name = os.fspath(path)
     if name.endswith(".json"):
-        return _load_json(name, boundary_policy)
-    return _load_csv(name, boundary_policy)
+        return _load_json(name)
+    return _load_csv(name)
 
 
-def _load_csv(path: str, boundary_policy: BoundaryPolicy) -> LossSurface:
+def _load_csv(path: str) -> LossSurface:
     cells: dict[tuple[int, int], float] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -295,10 +266,10 @@ def _load_csv(path: str, boundary_policy: BoundaryPolicy) -> LossSurface:
     grid = np.empty((d1_max, d2_max), dtype=np.float64)
     for (i, j), loss in cells.items():
         grid[i - 1, j - 1] = loss
-    return LossSurface(grid, boundary_policy)
+    return LossSurface(grid)
 
 
-def _load_json(path: str, boundary_policy: BoundaryPolicy) -> LossSurface:
+def _load_json(path: str) -> LossSurface:
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -325,7 +296,7 @@ def _load_json(path: str, boundary_policy: BoundaryPolicy) -> LossSurface:
             if not math.isfinite(value):
                 raise NonFiniteError(f"{path}: non-finite loss at ({i + 1}, {j + 1})")
             grid[i, j] = float(value)
-    return LossSurface(grid, boundary_policy)
+    return LossSurface(grid)
 
 
 def save_surface(surface: LossSurface, path, fmt: str | None = None) -> None:
@@ -360,8 +331,8 @@ def save_surface(surface: LossSurface, path, fmt: str | None = None) -> None:
 def required_domain(config: "SystemConfig") -> tuple[int, int]:
     """Largest age pair the cycle-cost sums can query for this configuration.
 
-    A surface of at least this size supports every strict-mode computation the
-    solver performs: all transition costs for decisions 0..tau_max, for both
+    A surface of at least this size supports every lookup the solver
+    performs: all transition costs for decisions 0..tau_max, for both
     modalities.
     """
     runs = config.tau_max + 1

@@ -2,10 +2,30 @@
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
+from dataclasses import dataclass
 
-from aoisched import (LossSurface, Modality, SurfaceSpec, SystemConfig,
-                      generate_surface, required_domain)
+import numpy as np
+from hypothesis import strategies as st
+
+from aoisched import (IndexThreshold, LossSurface, Modality, RestartState,
+                      RoundRobin, SimSummary, SimTrace, SurfaceSpec,
+                      SystemConfig, UniformRandom, generate_surface,
+                      required_domain)
+from aoisched.sim import _policy_label
+
+
+# (generator, params) pairs for all five generators, over wide parameter ranges
+GENERATOR_PARAMS = st.one_of(
+    st.builds(lambda v: ("constant", {"value": v}), st.floats(-50.0, 50.0)),
+    st.just(("aoi_sum", {})),
+    st.builds(lambda a, b: ("aoi_weighted", {"w1": a, "w2": b}),
+              st.floats(0.05, 4.0), st.floats(0.05, 4.0)),
+    st.builds(lambda a, b: ("monotone_power", {"p1": a, "p2": b}),
+              st.floats(0.0, 1.6), st.floats(0.0, 1.6)),
+    st.builds(lambda d, c, p1, p2: ("nonmono_nonsep", {"dip": d, "cross": c, "p1": p1, "p2": p2}),
+              st.floats(0.0, 3.0), st.floats(-3.0, 3.0), st.floats(2.0, 40.0), st.floats(2.0, 40.0)),
+)
 
 
 def make_surface(fn, d1: int, d2: int) -> LossSurface:
@@ -149,3 +169,126 @@ def reference_index_column(surface: LossSurface, config: SystemConfig,
         gamma.append(best)
         witness.append(best_k)
     return tuple(gamma), tuple(witness)
+
+
+# The simulator's slot-at-a-time engine, kept as the reference the array
+# computation in ``aoisched.sim.run`` must reproduce bitwise.
+
+@dataclass(frozen=True, slots=True)
+class InFlight:
+    """The transmission currently occupying the channel."""
+
+    modality: Modality
+    start: int
+    delivery: int
+
+
+@dataclass(frozen=True, slots=True)
+class SimState:
+    t: int
+    aoi: tuple[int, int]
+    in_flight: InFlight | None
+
+
+def step_aoi(state: SimState, config: SystemConfig) -> SimState:
+    """Advance one slot: ages grow by one, except a delivery resets its modality.
+
+    A completed transmission leaves ``in_flight`` empty; the policy layer fills
+    it again at the same slot.
+    """
+    t = state.t + 1
+    a1, a2 = state.aoi
+    tx = state.in_flight
+    if tx is not None and tx.delivery == t:
+        if tx.modality is Modality.M1:
+            return SimState(t, (config.t1, a2 + 1), None)
+        return SimState(t, (a1 + 1, config.t2), None)
+    return SimState(t, (a1 + 1, a2 + 1), tx)
+
+
+def _decider(policy, initial_state: RestartState, config: SystemConfig):
+    """Stateful decision stream, returning modality ints in transmission order."""
+    first = initial_state.modality
+    if isinstance(policy, IndexThreshold):
+        tau1, tau2 = policy.policy.tau1, policy.policy.tau2
+        if tau1 > config.tau_max or tau2 > config.tau_max:
+            raise ValueError(f"policy {policy.policy} exceeds tau_max={config.tau_max}")
+        phase1 = [1] * tau1 + [2]
+        phase2 = [2] * tau2 + [1]
+        pattern = phase1 + phase2 if first is Modality.M1 else phase2 + phase1
+        return itertools.cycle(pattern).__next__
+    if isinstance(policy, RoundRobin):
+        start = 2 if first is Modality.M1 else 1
+        return itertools.cycle([start, 3 - start]).__next__
+    if isinstance(policy, UniformRandom):
+        rng = np.random.Generator(np.random.PCG64(policy.seed))
+        draw = rng.integers
+
+        def next_random() -> int:
+            return 1 + int(draw(0, 2))
+
+        return next_random
+    raise TypeError(f"unknown policy kind {policy!r}")
+
+
+def reference_run(surface: LossSurface, config: SystemConfig, policy, horizon: int,
+                  initial_state: RestartState | None = None, warmup: int = 0) -> SimTrace:
+    """One slot per loop iteration, one decision per draw, one lookup per slot.
+
+    A lookup beyond the grid reads the edge cell and counts once per slot.
+    """
+    if initial_state is None:
+        initial_state = RestartState(Modality.M1)
+    decide = _decider(policy, initial_state, config)
+    values = surface.values
+    clamp_count = 0
+    t1, t2 = config.t1, config.t2
+    total_slots = warmup + horizon
+
+    d1 = np.empty(total_slots, dtype=np.int64)
+    d2 = np.empty(total_slots, dtype=np.int64)
+    loss = np.empty(total_slots, dtype=np.float64)
+    transmissions: list[tuple[int, int, int]] = []
+
+    a1, a2 = initial_state.aoi_vector(config)
+    m = decide()
+    delivery = t1 if m == 1 else t2
+    transmissions.append((m, 0, delivery))
+
+    for t in range(total_slots):
+        if t > 0:
+            if t == delivery:
+                if m == 1:
+                    a1 = t1
+                    a2 += 1
+                else:
+                    a2 = t2
+                    a1 += 1
+                m = decide()
+                delivery = t + (t1 if m == 1 else t2)
+                transmissions.append((m, t, delivery))
+            else:
+                a1 += 1
+                a2 += 1
+        d1[t] = a1
+        d2[t] = a2
+        if a1 > surface.d1_max or a2 > surface.d2_max:
+            clamp_count += 1
+        loss[t] = float(values[min(a1, surface.d1_max) - 1, min(a2, surface.d2_max) - 1])
+
+    total_loss = 0.0
+    for x in loss[warmup:].tolist():
+        total_loss += x
+    summary = SimSummary(
+        policy=_policy_label(policy),
+        horizon=horizon,
+        warmup=warmup,
+        total_loss=total_loss,
+        avg_loss=total_loss / horizon,
+        clamp_count=clamp_count,
+        seed=policy.seed if isinstance(policy, UniformRandom) else None,
+        tau1=policy.policy.tau1 if isinstance(policy, IndexThreshold) else None,
+        tau2=policy.policy.tau2 if isinstance(policy, IndexThreshold) else None,
+    )
+    return SimTrace(d1, d2, loss, np.array(transmissions, dtype=np.int64).reshape(-1, 3),
+                    summary)

@@ -150,6 +150,16 @@ class TestSweep:
         assert filecmp.cmp(tmp_path / "s1" / "sweep.csv",
                            tmp_path / "s2" / "sweep.csv", shallow=False)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_undersized_surface_is_a_clean_error(self, runner, jobs):
+        """A worker's OutOfDomain reaches the parent intact, so both paths exit alike."""
+        result = _invoke(runner, ["sweep", "--gen", "aoi_sum", "--d1", "6", "--d2", "6",
+                                  "--t1-list", "1,2", "--t2-list", "2", "--tau-max", "3",
+                                  "--horizon", "3000", "--seeds", "1,2", "--jobs", jobs])
+        assert result.exit_code == 1
+        assert result.stderr == ("error: age pair (9, 7) outside stored grid 6x6 "
+                                 "(surface too small for t1=1, t2=2, tau_max=3)\n")
+
     def test_bad_lists_rejected(self, runner):
         result = runner.invoke(main, ["sweep", "--gen", "aoi_sum",
                                       "--t1-list", "1,x", "--t2-list", "1"])

@@ -9,20 +9,8 @@ from aoisched import (CostTable, Modality, RestartState, StationaryPolicy,
                       SurfaceSpec, SystemConfig, build_index_table, cycle_cost,
                       cycle_duration, full_cycle_length, generate_surface,
                       required_domain, stationary_average_cost)
-from helpers import make_surface, monotone_random_surface, reference_index_column
-
-
-# (generator, params) pairs for all five generators, over wide parameter ranges
-GENERATOR_PARAMS = st.one_of(
-    st.builds(lambda v: ("constant", {"value": v}), st.floats(-50.0, 50.0)),
-    st.just(("aoi_sum", {})),
-    st.builds(lambda a, b: ("aoi_weighted", {"w1": a, "w2": b}),
-              st.floats(0.05, 4.0), st.floats(0.05, 4.0)),
-    st.builds(lambda a, b: ("monotone_power", {"p1": a, "p2": b}),
-              st.floats(0.0, 1.6), st.floats(0.0, 1.6)),
-    st.builds(lambda d, c, p1, p2: ("nonmono_nonsep", {"dip": d, "cross": c, "p1": p1, "p2": p2}),
-              st.floats(0.0, 3.0), st.floats(-3.0, 3.0), st.floats(2.0, 40.0), st.floats(2.0, 40.0)),
-)
+from helpers import (GENERATOR_PARAMS, make_surface, monotone_random_surface,
+                     reference_index_column)
 
 
 def _bits(values) -> np.ndarray:

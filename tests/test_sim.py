@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from aoisched import (BoundaryPolicy, IndexThreshold, Modality, RestartState,
-                      RoundRobin, SimState, StationaryPolicy, SurfaceSpec,
-                      SystemConfig, UniformRandom, compare_policies,
-                      cycle_cost, full_cycle_length, generate_surface,
-                      required_domain, run, solve_threshold,
-                      stationary_average_cost, step_aoi)
-from aoisched.sim import InFlight
-from helpers import make_surface, random_instance
+from aoisched import (IndexThreshold, Modality, OutOfDomain, RestartState,
+                      RoundRobin, StationaryPolicy, SurfaceSpec, SystemConfig,
+                      UniformRandom, compare_policies, cycle_cost,
+                      full_cycle_length, generate_surface, required_domain,
+                      run, solve_threshold, stationary_average_cost)
+from helpers import (GENERATOR_PARAMS, InFlight, SimState, make_surface,
+                     random_instance, reference_run, step_aoi)
 
 
 @pytest.fixture
@@ -72,9 +73,8 @@ class TestRunBasics:
         surface, config = unit_instance
         trace = run(surface, config, UniformRandom(3), 200)
         txs = trace.transmissions
-        assert txs[0].start == 0
-        for a, b in zip(txs, txs[1:]):
-            assert b.start == a.delivery  # the channel never idles
+        assert txs[0, 1] == 0
+        assert np.array_equal(txs[1:, 1], txs[:-1, 2])  # the channel never idles
 
     def test_age_never_below_transmission_time(self):
         config = SystemConfig(2, 3, 5)
@@ -165,7 +165,7 @@ class TestPolicies:
         surface, config = unit_instance
         trace = run(surface, config, IndexThreshold(StationaryPolicy(1, 2)), 8,
                     initial_state=RestartState(Modality.M2))
-        kinds = [int(tx.modality) for tx in trace.transmissions]
+        kinds = trace.transmissions[:, 0].tolist()
         # from a modality-2 restart: tau2 more of 2, switch to 1, tau1 more of 1, switch
         assert kinds[:7] == [2, 2, 1, 1, 2, 2, 2]
 
@@ -173,8 +173,8 @@ class TestPolicies:
         surface, config = unit_instance
         a = run(surface, config, RoundRobin(), 3)
         b = run(surface, config, RoundRobin(), 3, initial_state=RestartState(Modality.M2))
-        assert int(a.transmissions[0].modality) == 2
-        assert int(b.transmissions[0].modality) == 1
+        assert a.transmissions[0, 0] == 2
+        assert b.transmissions[0, 0] == 1
 
     def test_uniform_random_is_seed_deterministic(self, unit_instance):
         surface, config = unit_instance
@@ -182,7 +182,7 @@ class TestPolicies:
         b = run(surface, config, UniformRandom(11), 400)
         c = run(surface, config, UniformRandom(12), 400)
         assert np.array_equal(a.loss, b.loss)
-        assert a.transmissions == b.transmissions
+        assert np.array_equal(a.transmissions, b.transmissions)
         assert not np.array_equal(a.loss, c.loss)
 
     def test_uniform_random_matches_pcg_stream(self, unit_instance):
@@ -191,7 +191,7 @@ class TestPolicies:
         trace = run(surface, config, UniformRandom(7), 64)
         expected = np.random.Generator(np.random.PCG64(7)).integers(
             0, 2, size=len(trace.transmissions))
-        got = [int(tx.modality) - 1 for tx in trace.transmissions]
+        got = (trace.transmissions[:, 0] - 1).tolist()
         assert got == expected.tolist()
 
     def test_constant_surface_average_is_exact(self):
@@ -209,35 +209,106 @@ class TestClampAccounting:
         small = generate_surface(SurfaceSpec("aoi_sum", 3, 3, {}))
         trace = run(small, config, UniformRandom(0), 500)
         assert trace.summary.clamp_count > 0
-        # the caller's surface object is untouched
-        assert small.clamp_count == 0
-        assert small.boundary_policy is BoundaryPolicy.STRICT
+        # the caller's surface still refuses out-of-grid lookups
+        with pytest.raises(OutOfDomain):
+            small.eval(4, 1)
 
     def test_covered_run_never_clamps(self, unit_instance):
         surface, config = unit_instance
         trace = run(surface, config, IndexThreshold(StationaryPolicy(2, 1)), 400)
         assert trace.summary.clamp_count == 0
 
+    def test_out_of_grid_slot_reads_the_edge_cell(self):
+        surface = make_surface(lambda a, b: 10 * a + b, 3, 4)
+        trace = run(surface, SystemConfig(2, 3, 4), UniformRandom(1), 60)
+        d1, d2 = trace.delta1.tolist(), trace.delta2.tolist()
+        for a, b, x in zip(d1, d2, trace.loss.tolist()):
+            assert x == 10 * min(a, 3) + min(b, 4)
+        # the run leaves the grid in each age alone and in both at once
+        assert any(a > 3 and b <= 4 for a, b in zip(d1, d2))
+        assert any(a <= 3 and b > 4 for a, b in zip(d1, d2))
+        assert any(a > 3 and b > 4 for a, b in zip(d1, d2))
+
+    def test_slot_clamped_in_both_ages_counts_once(self):
+        # ages never drop below (t1, t2) = (2, 3), beyond a 1x1 grid in both
+        surface = generate_surface(SurfaceSpec("constant", 1, 1, {"value": 2.5}))
+        trace = run(surface, SystemConfig(2, 3, 4), UniformRandom(0), 90, warmup=10)
+        assert trace.summary.clamp_count == 100
+        assert trace.summary.avg_loss == 2.5
+
+    def test_each_run_counts_from_zero(self):
+        surface = generate_surface(SurfaceSpec("aoi_sum", 2, 2, {}))
+        config = SystemConfig(1, 1, 3)
+        first = run(surface, config, UniformRandom(3), 50).summary.clamp_count
+        assert first > 0
+        assert run(surface, config, UniformRandom(3), 50).summary.clamp_count == first
+
+
+@st.composite
+def _sim_cases(draw):
+    """A run's arguments: any policy and restart state, often an undersized grid."""
+    generator = draw(GENERATOR_PARAMS)
+    config = SystemConfig(draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+                          draw(st.integers(0, 12)))
+    d1_req, d2_req = required_domain(config)
+    grid = (draw(st.integers(1, d1_req)), draw(st.integers(1, d2_req)))
+    kind = draw(st.sampled_from(["index", "rr", "rand"]))
+    if kind == "index":
+        policy = IndexThreshold(StationaryPolicy(draw(st.integers(0, config.tau_max)),
+                                                 draw(st.integers(0, config.tau_max))))
+    elif kind == "rr":
+        policy = RoundRobin()
+    else:
+        policy = UniformRandom(draw(st.integers(0, 2 ** 32)))
+    restart = RestartState(draw(st.sampled_from([Modality.M1, Modality.M2])))
+    return (generator, grid, config, policy, restart,
+            draw(st.integers(0, 49)), draw(st.integers(1, 400)))
+
+
+class TestRunMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_sim_cases())
+    # an unseeded cumulative sum gives -0.0
+    @example((("constant", {"value": -0.0}), (4, 5), SystemConfig(2, 3, 0),
+              IndexThreshold(StationaryPolicy(0, 0)), RestartState(Modality.M1), 13, 200))
+    # every slot beyond the grid in both ages: a per-coordinate count doubles
+    @example((("aoi_sum", {}), (1, 1), SystemConfig(2, 3, 4), UniformRandom(7),
+              RestartState(Modality.M2), 0, 50))
+    @example((("nonmono_nonsep", {}), (9, 9), SystemConfig(1, 1, 0), RoundRobin(),
+              RestartState(Modality.M1), 0, 1))
+    def test_run_equals_the_slot_loop_bitwise(self, case):
+        (name, params), grid, config, policy, restart, warmup, horizon = case
+        surface = generate_surface(SurfaceSpec(name, *grid, params))
+        got = run(surface, config, policy, horizon, initial_state=restart, warmup=warmup)
+        ref = reference_run(surface, config, policy, horizon,
+                            initial_state=restart, warmup=warmup)
+        assert np.array_equal(got.delta1, ref.delta1)
+        assert np.array_equal(got.delta2, ref.delta2)
+        assert np.array_equal(got.loss.view(np.uint64), ref.loss.view(np.uint64))
+        assert got.transmissions.dtype == np.int64
+        assert np.array_equal(got.transmissions, ref.transmissions)
+        assert repr(got.summary.total_loss) == repr(ref.summary.total_loss)
+        assert got.summary == ref.summary
+
 
 class TestRunMatchesStepAoi:
     @pytest.mark.parametrize("seed", [0, 4])
     def test_trace_replay(self, seed):
-        """The vectorized loop and the single-step kernel tell the same story."""
+        """The vectorized run and the single-step kernel tell the same story."""
         rng = np.random.default_rng(6000 + seed)
         surface, config, _ = random_instance(rng)
         trace = run(surface, config, UniformRandom(seed), 120)
-        pending = list(trace.transmissions)
-        tx = pending.pop(0)
+        pending = trace.transmissions.tolist()
+        m, start, delivery = pending.pop(0)
         state = SimState(0, RestartState(Modality.M1).aoi_vector(config),
-                         InFlight(tx.modality, tx.start, tx.delivery))
+                         InFlight(Modality(m), start, delivery))
         for t in range(120):
             assert state.aoi == (trace.delta1[t], trace.delta2[t])
             state = step_aoi(state, config)
             if state.in_flight is None and pending:
-                nxt = pending.pop(0)
-                assert nxt.start == state.t
-                state = SimState(state.t, state.aoi,
-                                 InFlight(nxt.modality, nxt.start, nxt.delivery))
+                m, start, delivery = pending.pop(0)
+                assert start == state.t
+                state = SimState(state.t, state.aoi, InFlight(Modality(m), start, delivery))
 
 
 class TestSummary:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoisched import (BadSpec, BoundaryPolicy, HoleError, LossSurface, Modality,
+from aoisched import (BadSpec, HoleError, LossSurface, Modality,
                       NonFiniteError, OutOfDomain, ParseError, SurfaceSpec,
                       SystemConfig, cycle_cost, generate_surface, load_surface,
                       parse_generator_spec, required_domain, save_surface)
@@ -33,28 +33,6 @@ class TestLossSurface:
         with pytest.raises(OutOfDomain) as exc:
             s.eval(4, 2)
         assert exc.value.d1_max == 3 and exc.value.d2_max == 3
-
-    def test_clamp_projects_and_counts(self):
-        s = generate_surface(SurfaceSpec("constant", 5, 5, {"value": 2.5}),
-                             BoundaryPolicy.CLAMP)
-        assert s.eval(7, 9) == 2.5
-        assert s.clamp_count == 1
-        s.eval(2, 2)
-        assert s.clamp_count == 1  # in-domain lookups are free
-        s.eval(99, 1)
-        assert s.clamp_count == 2
-
-    def test_clamp_reads_the_edge_cell(self):
-        s = make_surface(lambda a, b: 10 * a + b, 3, 4).with_boundary(BoundaryPolicy.CLAMP)
-        assert s.eval(9, 9) == 34.0
-        assert s.eval(1, 99) == 14.0
-
-    def test_with_boundary_shares_grid_and_resets_counter(self):
-        s = make_surface(lambda a, b: a + b, 2, 2).with_boundary(BoundaryPolicy.CLAMP)
-        s.eval(5, 5)
-        fresh = s.with_boundary(BoundaryPolicy.CLAMP)
-        assert fresh.clamp_count == 0
-        assert fresh.values is s.values or np.array_equal(fresh.values, s.values)
 
     def test_values_are_read_only(self):
         s = make_surface(lambda a, b: a + b, 2, 2)
@@ -319,12 +297,21 @@ class TestRequiredDomain:
 
 def test_pickle_round_trip():
     import pickle
-    s = generate_surface(SurfaceSpec("aoi_sum", 3, 3, {}), BoundaryPolicy.CLAMP)
-    s.eval(9, 9)
+    s = generate_surface(SurfaceSpec("nonmono_nonsep", 3, 4, {}))
     back = pickle.loads(pickle.dumps(s))
-    assert np.array_equal(back.values, s.values)
-    assert back.boundary_policy is BoundaryPolicy.CLAMP
-    assert back.clamp_count == 0  # counters are per-object scratch state
+    assert np.array_equal(back.values.view(np.uint64), s.values.view(np.uint64))
+    assert back.bound_m == s.bound_m
+    assert not back.values.flags.writeable
+
+
+def test_out_of_domain_pickle_round_trip():
+    import pickle
+    err = OutOfDomain(9, 7, 6, 6, "surface too small")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is OutOfDomain
+    assert (back.delta1, back.delta2, back.d1_max, back.d2_max, back.note) == (9, 7, 6, 6,
+                                                                               "surface too small")
+    assert str(back) == str(err) == "age pair (9, 7) outside stored grid 6x6 (surface too small)"
 
 
 def test_saved_json_has_finite_repr_floats(tmp_path):
