@@ -362,13 +362,12 @@ def _check_threshold_minimizer(surface, config, costs, index_table, seed, n_beta
             lo, hi = min(gammas) - 1.0, max(gammas) + 1.0
         else:
             lo, hi = -bound - 1.0, bound + 1.0
-        betas = [float(b) for b in rng.uniform(lo, hi, size=n_betas)]
-        betas += [lo - 1.0, hi + 1.0]  # force the unconstrained and saturated cases
-        t_m = config.transmission_time(modality)
-        for beta in betas:
-            objective = [costs.cost(modality, tau) - tau * t_m * beta
-                         for tau in range(config.tau_max + 1)]
-            enum = objective.index(min(objective))
+        betas = np.append(rng.uniform(lo, hi, size=n_betas),
+                          [lo - 1.0, hi + 1.0])  # force the unconstrained and saturated cases
+        slots = np.arange(config.tau_max + 1) * config.transmission_time(modality)
+        cost = np.asarray(costs.c1 if modality is Modality.M1 else costs.c2)
+        enumerated = np.argmin(cost - slots * betas[:, None], axis=1).tolist()
+        for beta, enum in zip(betas.tolist(), enumerated):
             fast = tau_opt(index_table, config, modality, beta)
             if enum != fast:
                 mismatches.append({"modality": int(modality), "beta": beta,
@@ -397,6 +396,10 @@ def verify(surface_path, gen_spec, d1, d2, t1, t2, tau_max, tol, seed, n_betas,
            grid_points, inject_perturb, out):
     """Cross-check the solver: oracle search, Bellman certificate, shape properties."""
     try:
+        if grid_points < 2:
+            raise ValueError(f"--grid must be >= 2, got {grid_points}")
+        if n_betas < 0:
+            raise ValueError(f"--betas must be >= 0, got {n_betas}")
         config = SystemConfig(t1, t2, tau_max)
         surface, surface_tokens, sha = _resolve_surface(surface_path, gen_spec, d1, d2, config)
         solution = solve_threshold(surface, config, tol)

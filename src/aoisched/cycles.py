@@ -23,7 +23,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import OutOfDomain
+from .errors import OutOfDomain, SurfaceError
 from .surface import LossSurface, required_domain
 
 
@@ -139,12 +139,21 @@ def restart_path(surface: LossSurface, config: SystemConfig, modality: Modality)
     it does not (i < t_other).  Every half-cycle cost is a sum of these
     entries.  No half-cycle runs past tau_max, so the last row holds the
     switch only and its remaining entries are NaN.
+
+    With n the longest full cycle and M = max(bound_m, 1), no intermediate of
+    the tables, the oracle, the solver's widened bracket (|beta| <= 2M + 1) or
+    verify's betas exceeds 16 * n * M; a surface for which that is not finite
+    raises SurfaceError.
     """
     d1_req, d2_req = required_domain(config)
     if not surface.covers(d1_req, d2_req):
         raise OutOfDomain(d1_req, d2_req, surface.d1_max, surface.d2_max,
                           note=f"surface too small for t1={config.t1}, t2={config.t2}, "
                                f"tau_max={config.tau_max}")
+    n = full_cycle_length(config, StationaryPolicy(config.tau_max, config.tau_max))
+    if not np.isfinite(16.0 * n * max(surface.bound_m, 1.0)):
+        raise SurfaceError(f"surface bound_m={surface.bound_m!r} too large for t1={config.t1}, t2="
+                           f"{config.t2}, tau_max={config.tau_max}: sums over {n} slots overflow")
     t_own = config.transmission_time(modality)
     t_other = config.transmission_time(modality.other)
     j = np.arange(1, config.tau_max + 2)[:, None]

@@ -37,35 +37,26 @@ class OracleReport:
 def brute_force_optimal(surface: LossSurface, config: SystemConfig) -> OracleReport:
     """Average cost of every (tau1, tau2) pair; the minimum and all near-ties.
 
-    Iteration order is tau1-major ascending, so the reported best policy is
-    the lexicographically smallest exact minimizer and the tie list order is
-    deterministic.  Near-ties are within rounding of the minimum: an average
-    over at most n slots, the longest cycle, is off by n * eps * bound_m.
+    The table is one broadcast over the two cost columns.  The reported best
+    policy is its first exact minimizer in row-major (tau1-major) order, and
+    the ties are listed in the same row-major order.  Near-ties are within
+    rounding of the minimum: an average over at most n slots, the longest
+    cycle, is off by n * eps * bound_m.
     """
     costs = CostTable(surface, config)
     longest = full_cycle_length(config, StationaryPolicy(config.tau_max, config.tau_max))
     tie_tolerance = 2.0 * longest * float(np.finfo(np.float64).eps) * surface.bound_m
-    n = config.tau_max + 1
-    table = np.empty((n, n), dtype=np.float64)
-    best = float("inf")
-    best_pair = (0, 0)
-    for tau1 in range(n):
-        len1 = (tau1 + 1) * config.t1
-        c1 = costs.c1[tau1]
-        for tau2 in range(n):
-            avg = (c1 + costs.c2[tau2]) / (len1 + (tau2 + 1) * config.t2)
-            table[tau1, tau2] = avg
-            if avg < best:
-                best = avg
-                best_pair = (tau1, tau2)
-    ties = tuple(StationaryPolicy(tau1, tau2)
-                 for tau1 in range(n)
-                 for tau2 in range(n)
-                 if table[tau1, tau2] <= best + tie_tolerance)
+    runs = np.arange(1, config.tau_max + 2)
+    table = (np.asarray(costs.c1)[:, None] + np.asarray(costs.c2)) \
+        / (runs[:, None] * config.t1 + runs * config.t2)
+    best = np.unravel_index(np.argmin(table), table.shape)
+    best_avg_cost = float(table[best])
+    ties = tuple(StationaryPolicy(int(tau1), int(tau2))
+                 for tau1, tau2 in np.argwhere(table <= best_avg_cost + tie_tolerance))
     table.setflags(write=False)
     return OracleReport(
-        best_policy=StationaryPolicy(*best_pair),
-        best_avg_cost=best,
+        best_policy=StationaryPolicy(int(best[0]), int(best[1])),
+        best_avg_cost=best_avg_cost,
         table=table,
         ties=ties,
         tie_tolerance=tie_tolerance,
@@ -124,31 +115,26 @@ def verify_bellman(surface: LossSurface, config: SystemConfig, policy: Stationar
         - cycle_duration(config, Modality.M1, policy.tau1) * l_opt
     h = {Modality.M1: h1, Modality.M2: h2}
 
-    minima: list[float] = []
-    argmins: list[int] = []
-    attainment: list[float] = []
-    fixpoint: list[float] = []
+    taus = np.arange(config.tau_max + 1)
+    rows = []
     for modality in (Modality.M1, Modality.M2):
-        h_next = h[modality.other]
-        values = [costs.cost(modality, tau)
-                  - cycle_duration(config, modality, tau) * l_opt
-                  + h_next
-                  for tau in range(config.tau_max + 1)]
-        minimum = min(values)
-        minima.append(minimum)
-        argmins.append(values.index(minimum))
-        attainment.append(values[policy.tau(modality)] - minimum)
-        fixpoint.append(abs(minimum - h[modality]))
+        values = (np.asarray(costs.c1 if modality is Modality.M1 else costs.c2)
+                  - cycle_duration(config, modality, taus) * l_opt + h[modality.other])
+        k = int(np.argmin(values))
+        minimum = float(values[k])
+        rows.append((minimum, k, float(values[policy.tau(modality)]) - minimum,
+                     abs(minimum - h[modality])))
+    minima, argmins, attainment, fixpoint = zip(*rows)
 
-    ok = all(gap <= tol for gap in attainment) and all(gap <= tol for gap in fixpoint)
+    ok = all(gap <= tol for gap in attainment + fixpoint)
     return BellmanCheck(
         ok=ok,
         tol=tol,
         l_opt=l_opt,
         h1=h1,
         h2=h2,
-        minimum=(minima[0], minima[1]),
-        argmin=(argmins[0], argmins[1]),
-        attainment_gap=(attainment[0], attainment[1]),
-        fixpoint_gap=(fixpoint[0], fixpoint[1]),
+        minimum=minima,
+        argmin=argmins,
+        attainment_gap=attainment,
+        fixpoint_gap=fixpoint,
     )

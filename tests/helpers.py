@@ -8,10 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
-from aoisched import (IndexThreshold, LossSurface, Modality, RestartState,
-                      RoundRobin, SimSummary, SimTrace, SurfaceSpec,
-                      SystemConfig, UniformRandom, generate_surface,
-                      required_domain)
+from aoisched import (BellmanCheck, CostTable, IndexThreshold, LossSurface,
+                      Modality, OracleReport, RestartState, RoundRobin,
+                      SimSummary, SimTrace, StationaryPolicy, SurfaceSpec,
+                      SystemConfig, UniformRandom, cycle_duration,
+                      full_cycle_length, generate_surface, required_domain,
+                      tau_opt)
 from aoisched.sim import _policy_label
 
 
@@ -169,6 +171,123 @@ def reference_index_column(surface: LossSurface, config: SystemConfig,
         gamma.append(best)
         witness.append(best_k)
     return tuple(gamma), tuple(witness)
+
+
+# The oracle's and verify's loops over decisions, kept as the references the
+# array expressions in ``aoisched.oracle`` and ``aoisched.cli`` must reproduce
+# bitwise.
+def reference_brute_force(surface: LossSurface, config: SystemConfig) -> OracleReport:
+    """Average cost of every (tau1, tau2) pair; the minimum and all near-ties.
+
+    Iteration order is tau1-major ascending, so the reported best policy is
+    the lexicographically smallest exact minimizer and the tie list order is
+    deterministic.  Near-ties are within rounding of the minimum: an average
+    over at most n slots, the longest cycle, is off by n * eps * bound_m.
+    """
+    costs = CostTable(surface, config)
+    longest = full_cycle_length(config, StationaryPolicy(config.tau_max, config.tau_max))
+    tie_tolerance = 2.0 * longest * float(np.finfo(np.float64).eps) * surface.bound_m
+    n = config.tau_max + 1
+    table = np.empty((n, n), dtype=np.float64)
+    best = float("inf")
+    best_pair = (0, 0)
+    for tau1 in range(n):
+        len1 = (tau1 + 1) * config.t1
+        c1 = costs.c1[tau1]
+        for tau2 in range(n):
+            avg = (c1 + costs.c2[tau2]) / (len1 + (tau2 + 1) * config.t2)
+            table[tau1, tau2] = avg
+            if avg < best:
+                best = avg
+                best_pair = (tau1, tau2)
+    ties = tuple(StationaryPolicy(tau1, tau2)
+                 for tau1 in range(n)
+                 for tau2 in range(n)
+                 if table[tau1, tau2] <= best + tie_tolerance)
+    table.setflags(write=False)
+    return OracleReport(
+        best_policy=StationaryPolicy(*best_pair),
+        best_avg_cost=best,
+        table=table,
+        ties=ties,
+        tie_tolerance=tie_tolerance,
+    )
+
+
+def reference_bellman(surface: LossSurface, config: SystemConfig, policy: StationaryPolicy,
+                      l_opt: float, tol: float = 1e-8) -> BellmanCheck:
+    """Certify (policy, l_opt) against the average-cost Bellman equation.
+
+    Relative values are anchored at the second restart state (h2 = 0); h1 then
+    follows from the first restart state's own cycle under the policy.  The
+    check passes iff, at both restart states, the policy's decision attains
+    the Bellman minimum and the minimum equals the state's relative value,
+    all within tol.
+    """
+    if policy.tau1 > config.tau_max or policy.tau2 > config.tau_max:
+        raise ValueError(f"policy {policy} exceeds tau_max={config.tau_max}")
+    costs = CostTable(surface, config)
+    h2 = 0.0
+    h1 = costs.cost(Modality.M1, policy.tau1) \
+        - cycle_duration(config, Modality.M1, policy.tau1) * l_opt
+    h = {Modality.M1: h1, Modality.M2: h2}
+
+    minima: list[float] = []
+    argmins: list[int] = []
+    attainment: list[float] = []
+    fixpoint: list[float] = []
+    for modality in (Modality.M1, Modality.M2):
+        h_next = h[modality.other]
+        values = [costs.cost(modality, tau)
+                  - cycle_duration(config, modality, tau) * l_opt
+                  + h_next
+                  for tau in range(config.tau_max + 1)]
+        minimum = min(values)
+        minima.append(minimum)
+        argmins.append(values.index(minimum))
+        attainment.append(values[policy.tau(modality)] - minimum)
+        fixpoint.append(abs(minimum - h[modality]))
+
+    ok = all(gap <= tol for gap in attainment) and all(gap <= tol for gap in fixpoint)
+    return BellmanCheck(
+        ok=ok,
+        tol=tol,
+        l_opt=l_opt,
+        h1=h1,
+        h2=h2,
+        minimum=(minima[0], minima[1]),
+        argmin=(argmins[0], argmins[1]),
+        attainment_gap=(attainment[0], attainment[1]),
+        fixpoint_gap=(fixpoint[0], fixpoint[1]),
+    )
+
+
+def reference_threshold_minimizer(surface, config, costs, index_table, seed, n_betas):
+    rng = np.random.default_rng(seed)
+    bound = surface.bound_m if surface.bound_m > 0 else 1.0
+    mismatches = []
+    for modality in (Modality.M1, Modality.M2):
+        gammas = index_table.gamma(modality)
+        if gammas:
+            lo, hi = min(gammas) - 1.0, max(gammas) + 1.0
+        else:
+            lo, hi = -bound - 1.0, bound + 1.0
+        betas = [float(b) for b in rng.uniform(lo, hi, size=n_betas)]
+        betas += [lo - 1.0, hi + 1.0]  # force the unconstrained and saturated cases
+        t_m = config.transmission_time(modality)
+        for beta in betas:
+            objective = [costs.cost(modality, tau) - tau * t_m * beta
+                         for tau in range(config.tau_max + 1)]
+            enum = objective.index(min(objective))
+            fast = tau_opt(index_table, config, modality, beta)
+            if enum != fast:
+                mismatches.append({"modality": int(modality), "beta": beta,
+                                   "enumerated": enum, "threshold": fast})
+    return {
+        "ok": not mismatches,
+        "betas_per_modality": n_betas + 2,
+        "mismatches": mismatches[:5],
+    }
 
 
 # The simulator's slot-at-a-time engine, kept as the reference the array

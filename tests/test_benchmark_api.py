@@ -85,3 +85,25 @@ def test_simulate_flags_of_the_workloads(tmp_path):
         assert json.loads(out.getvalue())["horizon"] == 500
     assert sorted(os.listdir(tmp_path / "sim")) == [
         "manifest.json", "summary.json", "trace.csv", "transmissions.csv"]
+
+
+def test_oracle_fields_read_by_the_workloads():
+    # workloads.py reads oracle.table[tau1, tau2], .best_avg_cost and .is_tie(policy)
+    config = SystemConfig(2, 3, 6)
+    surface = generate_surface(SurfaceSpec("nonmono_nonsep", *required_domain(config), {}))
+    oracle = brute_force_optimal(surface, config)
+    policy = solve_threshold(surface, config).policy
+    assert isinstance(oracle.table[policy.tau1, policy.tau2], float)
+    assert type(oracle.best_avg_cost) is float
+    assert type(oracle.is_tie(policy)) is bool
+
+
+def test_verify_flags_of_the_workloads():
+    # the certify workload passes verify a --seed drawn below 2**31
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_main(["verify", "--gen", "nonmono_nonsep", "--t1", "2", "--t2", "3", "--tau-max", "6",
+                  "--seed", str(2**31 - 1)], standalone_mode=False)
+    report = json.loads(out.getvalue())
+    assert report["ok"] is True
+    assert report["checks"]["threshold_minimizer"]["betas_per_modality"] == 52

@@ -212,6 +212,21 @@ class TestVerify:
         result = _invoke(runner, ["verify"] + args)
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("option, value, error", [
+        ("--grid", "0", "error: --grid must be >= 2, got 0\n"),
+        ("--grid", "1", "error: --grid must be >= 2, got 1\n"),
+        ("--grid", "2", ""),
+        ("--betas", "-1", "error: --betas must be >= 0, got -1\n"),
+        ("--betas", "0", ""),
+    ])
+    def test_sample_counts_are_validated(self, runner, option, value, error):
+        result = _invoke(runner, ["verify", "--gen", "aoi_sum"] + UNIT + [option, value])
+        assert result.stderr == error
+        if error:
+            assert result.exit_code == 1 and result.stdout == ""
+        else:
+            assert result.exit_code == 0 and json.loads(result.stdout)["ok"] is True
+
     def test_cost_offset_beyond_rounding_fails_concavity(self):
         """On this constant surface g is linear on the beta grid past its first
         point, where the policy switches from (0, 0) to (tau_max, tau_max).
@@ -236,6 +251,39 @@ class TestVerify:
         assert check(per_value)["ok"]
         report = check(5.0 * per_value)
         assert not report["midpoint_concave"] and report["strictly_decreasing"]
+
+
+def _alternating_surface(path, magnitude) -> str:
+    """12x12 JSON surface whose even rows are -magnitude and odd rows +magnitude."""
+    rows = [[-magnitude if i % 2 == 0 else magnitude] * 12 for i in range(12)]
+    path.write_text(json.dumps({"d1_max": 12, "d2_max": 12, "values": rows}))
+    return str(path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+class TestOverflowingSurface:
+    COMMANDS = [["solve"], ["verify"], ["simulate", "--policy", "index", "--horizon", "100"]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rejected_before_any_output(self, runner, tmp_path, command):
+        path = _alternating_surface(tmp_path / "s.json", 1e308)
+        result = _invoke(runner, command + ["--surface", path] + UNIT)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == ("error: surface bound_m=1e+308 too large for t1=1, t2=1, "
+                                 "tau_max=3: sums over 8 slots overflow\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_just_under_the_limit_prints_finite_json(self, runner, tmp_path, command):
+        # 16 * n * bound_m = 16 * 8 * 1.4e306 is just below the largest float
+        path = _alternating_surface(tmp_path / "s.json", 1.4e306)
+        result = _invoke(runner, command + ["--surface", path] + UNIT)
+        assert result.exit_code in (0, 2)  # verify runs to the end but may report a check
+        assert result.stderr == ""
+        json.loads(result.stdout, parse_constant=_reject_constant)
 
 
 class TestGenSurface:

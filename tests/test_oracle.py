@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from aoisched import (StationaryPolicy, SurfaceSpec, SystemConfig,
+from aoisched import (IndexTable, StationaryPolicy, SurfaceSpec, SystemConfig,
                       brute_force_optimal, generate_surface, required_domain,
                       solve_threshold, stationary_average_cost, verify_bellman)
-from helpers import random_instance
+from aoisched.cli import _check_threshold_minimizer
+from helpers import (GENERATOR_PARAMS, random_instance, reference_bellman,
+                     reference_brute_force, reference_threshold_minimizer)
 
 
 @pytest.fixture
@@ -130,3 +134,49 @@ class TestVerifyBellman:
         check = verify_bellman(surface, config, sol.policy, sol.l_opt)
         assert check.ok
         assert check.argmin == (0, 0)
+
+
+class TestMatchesTheLoops:
+    """The array searches equal the loops in tests/helpers.py bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(GENERATOR_PARAMS, st.integers(1, 6), st.integers(1, 6), st.integers(0, 40),
+           st.tuples(st.integers(0, 40), st.integers(0, 40)), st.floats(-2.0, 2.0),
+           st.integers(0, 2 ** 31), st.integers(0, 60),
+           st.sampled_from(["solver", "reversed", "flat"]))
+    @example(("constant", {"value": -0.0}), 2, 3, 7, (7, 0), 0.0, 0, 0, "flat")
+    @example(("constant", {"value": 37.31}), 2, 8, 40, (3, 40), 0.0, 1, 50, "solver")  # all tie
+    @example(("nonmono_nonsep", {}), 3, 2, 0, (0, 0), 0.5, 2, 50, "reversed")
+    def test_oracle_certificate_and_minimizer(self, gen, t1, t2, tau_max, other, offset,
+                                              seed, n_betas, index_kind):
+        name, params = gen
+        config = SystemConfig(t1, t2, tau_max)
+        surface = generate_surface(SurfaceSpec(name, *required_domain(config), params))
+
+        report = brute_force_optimal(surface, config)
+        reference = reference_brute_force(surface, config)
+        assert np.array_equal(report.table.view(np.uint64), reference.table.view(np.uint64))
+        assert not report.table.flags.writeable
+        assert report.best_policy == reference.best_policy
+        assert type(report.best_avg_cost) is float
+        assert repr(report.best_avg_cost) == repr(reference.best_avg_cost)
+        assert report.ties == reference.ties
+        assert report.tie_tolerance == reference.tie_tolerance
+
+        solution = solve_threshold(surface, config)
+        for policy in (solution.policy, StationaryPolicy(min(other[0], tau_max),
+                                                         min(other[1], tau_max))):
+            # at the oracle's best every decision ties exactly on a zero surface
+            for l_opt in (solution.l_opt, solution.l_opt + offset, report.best_avg_cost):
+                assert repr(verify_bellman(surface, config, policy, l_opt)) \
+                    == repr(reference_bellman(surface, config, policy, l_opt))
+
+        index = solution.index_table
+        if index_kind == "reversed":  # a wrong index table, so mismatches are listed
+            index = IndexTable(tau_max, index.gamma1[::-1], index.gamma2[::-1],
+                               index.witness1, index.witness2)
+        elif index_kind == "flat":  # the forced low beta is the optimum: a zero surface ties
+            flat = (report.best_avg_cost + 2.0,) * tau_max
+            index = IndexTable(tau_max, flat, flat, index.witness1, index.witness2)
+        args = (surface, config, solution.costs, index, seed, n_betas)
+        assert repr(_check_threshold_minimizer(*args)) == repr(reference_threshold_minimizer(*args))
