@@ -10,8 +10,8 @@ optimality conditions, and simulates it against baselines.
 from .cycles import (CostTable, Modality, RestartState, StationaryPolicy,
                      SystemConfig, cycle_cost, cycle_duration,
                      full_cycle_length, stationary_average_cost)
-from .errors import (BadSpec, BracketError, HoleError, NonFiniteError,
-                     OutOfDomain, ParseError, SurfaceError)
+from .errors import (BadSpec, HoleError, NonFiniteError, OutOfDomain, ParseError,
+                     SurfaceError)
 from .oracle import (BellmanCheck, OracleReport, brute_force_optimal,
                      verify_bellman)
 from .sim import (IndexThreshold, PolicyComparison, PolicyRow, RoundRobin,
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BadSpec",
     "BellmanCheck",
-    "BracketError",
     "CostTable",
     "GENERATORS",
     "HoleError",

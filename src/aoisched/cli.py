@@ -25,7 +25,7 @@ from . import __version__
 # CostTable and build_index_table are imported only so perfbench/tracing.py can wrap them here
 from .cycles import (CostTable, Modality, StationaryPolicy, SystemConfig,
                      full_cycle_length)
-from .errors import BadSpec, BracketError, OutOfDomain, SurfaceError
+from .errors import BadSpec, OutOfDomain, SurfaceError
 from .oracle import brute_force_optimal, verify_bellman
 from .sim import (IndexThreshold, RoundRobin, UniformRandom, compare_policies,
                   run, write_trace_csv, write_transmissions_csv)
@@ -33,19 +33,12 @@ from .solver import build_index_table, g_value, solve_threshold, tau_opt
 from .surface import (SurfaceSpec, generate_surface, load_surface,
                       parse_generator_spec, required_domain, save_surface)
 
-_USAGE_ERRORS = (SurfaceError, BadSpec, OutOfDomain, BracketError, OSError, ValueError)
+_USAGE_ERRORS = (SurfaceError, BadSpec, OutOfDomain, OSError, ValueError)
 
 
 def _fail(message: str):
     click.echo(f"error: {message}", err=True)
     raise SystemExit(1)
-
-
-def _fmt(value) -> str:
-    """Token that parses back to the identical value (repr floats round-trip)."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _digest(surface) -> str:
@@ -92,8 +85,6 @@ def _surface_options(fn):
 
 
 def _config_options(fn):
-    fn = click.option("--tol", type=float, default=1e-9, show_default=True,
-                      help="bisection tolerance on bracket width and residual")(fn)
     fn = click.option("--tau-max", type=int, default=50, show_default=True,
                       help="cap on consecutive same-modality runs")(fn)
     fn = click.option("--t2", type=int, required=True, help="transmission time of modality 2 (slots)")(fn)
@@ -121,9 +112,8 @@ def _resolve_surface(surface_path, gen_spec, d1, d2, config):
     return surface, tokens, _digest(surface)
 
 
-def _config_tokens(config: SystemConfig, tol: float) -> list[str]:
-    return ["--t1", str(config.t1), "--t2", str(config.t2),
-            "--tau-max", str(config.tau_max), "--tol", _fmt(tol)]
+def _config_tokens(config: SystemConfig) -> list[str]:
+    return ["--t1", str(config.t1), "--t2", str(config.t2), "--tau-max", str(config.tau_max)]
 
 
 @click.group()
@@ -135,17 +125,16 @@ def main():
 # ---------------------------------------------------------------------------
 # solve
 
-def _solution_payload(surface, config, tol, solution, surface_sha256):
+def _solution_payload(surface, config, solution, surface_sha256):
     table = solution.index_table
     return {
         "l_opt": solution.l_opt,
         "policy": {"tau1": solution.policy.tau1, "tau2": solution.policy.tau2},
         "iterations": solution.iterations,
         "residual": solution.residual,
-        "bracket": list(solution.bracket),
         "saturated": solution.saturated,
         "bound_m": surface.bound_m,
-        "config": {"t1": config.t1, "t2": config.t2, "tau_max": config.tau_max, "tol": tol},
+        "config": {"t1": config.t1, "t2": config.t2, "tau_max": config.tau_max},
         "index": {
             "m1": {"gamma": list(table.gamma1), "witness_k": list(table.witness1)},
             "m2": {"gamma": list(table.gamma2), "witness_k": list(table.witness2)},
@@ -159,20 +148,20 @@ def _solution_payload(surface, config, tol, solution, surface_sha256):
 @_config_options
 @click.option("--out", type=click.Path(), default=None,
               help="directory for solution.json and manifest.json")
-def solve(surface_path, gen_spec, d1, d2, t1, t2, tau_max, tol, out):
+def solve(surface_path, gen_spec, d1, d2, t1, t2, tau_max, out):
     """Compute the optimal threshold policy and its average loss."""
     try:
         config = SystemConfig(t1, t2, tau_max)
         surface, surface_tokens, sha = _resolve_surface(surface_path, gen_spec, d1, d2, config)
-        solution = solve_threshold(surface, config, tol)
-        payload = _solution_payload(surface, config, tol, solution, sha)
+        solution = solve_threshold(surface, config)
+        payload = _solution_payload(surface, config, solution, sha)
     except _USAGE_ERRORS as exc:
         _fail(str(exc))
     click.echo(_dump_json(payload))
     if out is not None:
         os.makedirs(out, exist_ok=True)
         _write_json(payload, os.path.join(out, "solution.json"))
-        argv = ["solve"] + surface_tokens + _config_tokens(config, tol)
+        argv = ["solve"] + surface_tokens + _config_tokens(config)
         _write_manifest(out, "solve", argv, sha, [], ["solution.json"])
 
 
@@ -191,14 +180,14 @@ def solve(surface_path, gen_spec, d1, d2, t1, t2, tau_max, tol, out):
               help="random-policy seed (ignored otherwise)")
 @click.option("--out", type=click.Path(), default=None,
               help="directory for trace.csv, transmissions.csv, summary.json, manifest.json")
-def simulate(surface_path, gen_spec, d1, d2, t1, t2, tau_max, tol, policy_name,
+def simulate(surface_path, gen_spec, d1, d2, t1, t2, tau_max, policy_name,
              horizon, warmup, seed, out):
     """Simulate one policy and report its measured average loss."""
     try:
         config = SystemConfig(t1, t2, tau_max)
         surface, surface_tokens, sha = _resolve_surface(surface_path, gen_spec, d1, d2, config)
         if policy_name == "index":
-            solution = solve_threshold(surface, config, tol)
+            solution = solve_threshold(surface, config)
             policy = IndexThreshold(solution.policy)
         elif policy_name == "rr":
             policy = RoundRobin()
@@ -214,7 +203,7 @@ def simulate(surface_path, gen_spec, d1, d2, t1, t2, tau_max, tol, policy_name,
         write_trace_csv(trace, os.path.join(out, "trace.csv"))
         write_transmissions_csv(trace, os.path.join(out, "transmissions.csv"))
         _write_json(summary, os.path.join(out, "summary.json"))
-        argv = (["simulate"] + surface_tokens + _config_tokens(config, tol)
+        argv = (["simulate"] + surface_tokens + _config_tokens(config)
                 + ["--policy", policy_name, "--horizon", str(horizon),
                    "--warmup", str(warmup), "--seed", str(seed)])
         seeds = [seed] if policy_name == "rand" else []
@@ -225,11 +214,10 @@ def simulate(surface_path, gen_spec, d1, d2, t1, t2, tau_max, tol, policy_name,
 # ---------------------------------------------------------------------------
 # sweep
 
-def _sweep_cell(surface, t1, t2, tau_max, tol, horizon, seeds, policies):
+def _sweep_cell(surface, t1, t2, tau_max, horizon, seeds, policies):
     """One grid cell of a sweep; module-level so worker processes can import it."""
     config = SystemConfig(t1, t2, tau_max)
-    comparison = compare_policies(surface, config, horizon, seeds=seeds,
-                                  include=policies, tol=tol)
+    comparison = compare_policies(surface, config, horizon, seeds=seeds, include=policies)
     rows = []
     for row in comparison.rows:
         rows.append({
@@ -249,7 +237,6 @@ def _sweep_cell(surface, t1, t2, tau_max, tol, horizon, seeds, policies):
 @click.option("--t1-list", required=True, metavar="INTS", help="comma-separated t1 values")
 @click.option("--t2-list", required=True, metavar="INTS", help="comma-separated t2 values")
 @click.option("--tau-max", type=int, default=50, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--policies", default="index,rr,rand", show_default=True,
               help="comma-separated subset of index,rr,rand")
 @click.option("--seeds", default="1,2,3,4,5", show_default=True,
@@ -259,7 +246,7 @@ def _sweep_cell(surface, t1, t2, tau_max, tol, horizon, seeds, policies):
               help="worker processes for grid cells")
 @click.option("--out", type=click.Path(), default=None,
               help="directory for sweep.csv and manifest.json (default: CSV to stdout)")
-def sweep(surface_path, gen_spec, d1, d2, t1_list, t2_list, tau_max, tol, policies,
+def sweep(surface_path, gen_spec, d1, d2, t1_list, t2_list, tau_max, policies,
           seeds, horizon, jobs, out):
     """Compare policies over a grid of transmission-time pairs."""
     try:
@@ -278,7 +265,7 @@ def sweep(surface_path, gen_spec, d1, d2, t1_list, t2_list, tau_max, tol, polici
         fit_config = SystemConfig(max(t1s), max(t2s), tau_max)
         surface, surface_tokens, sha = _resolve_surface(surface_path, gen_spec, d1, d2, fit_config)
         cells = sorted((a, b) for a in set(t1s) for b in set(t2s))
-        args = [(surface, a, b, tau_max, tol, horizon, seed_list, policy_list)
+        args = [(surface, a, b, tau_max, horizon, seed_list, policy_list)
                 for a, b in cells]
         if jobs == 1:
             results = [_sweep_cell(*a) for a in args]
@@ -307,7 +294,7 @@ def sweep(surface_path, gen_spec, d1, d2, t1_list, t2_list, tau_max, tol, polici
         argv = (["sweep"] + surface_tokens
                 + ["--t1-list", ",".join(str(v) for v in t1s),
                    "--t2-list", ",".join(str(v) for v in t2s),
-                   "--tau-max", str(tau_max), "--tol", _fmt(tol),
+                   "--tau-max", str(tau_max),
                    "--policies", ",".join(policy_list),
                    "--seeds", ",".join(str(s) for s in seed_list),
                    "--horizon", str(horizon), "--jobs", str(jobs)])
@@ -327,16 +314,21 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # verify
 
+def _value_rounding(surface, config) -> float:
+    """A priori rounding of one g value, cost - beta * length, or one Bellman
+    value: at most n terms, n the longest cycle, of total magnitude 2 * n * bound."""
+    bound = surface.bound_m if surface.bound_m > 0 else 1.0
+    n = full_cycle_length(config, StationaryPolicy(config.tau_max, config.tau_max))
+    return n * float(np.finfo(np.float64).eps) * n * 2.0 * bound
+
+
 def _check_g_properties(surface, config, costs, index_table, grid_points):
     bound = surface.bound_m if surface.bound_m > 0 else 1.0
     betas = np.linspace(-bound, bound, grid_points)
     values = [g_value(surface, config, index_table, float(b), costs=costs) for b in betas]
     diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     strictly_decreasing = all(d < 0 for d in diffs)
-    # a priori rounding of one g value, cost - beta * length: at most n terms,
-    # n the longest cycle, of total magnitude 2 * n * bound; a midpoint has three
-    n = full_cycle_length(config, StationaryPolicy(config.tau_max, config.tau_max))
-    eps = n * float(np.finfo(np.float64).eps) * n * 2.0 * bound
+    eps = _value_rounding(surface, config)  # a midpoint test combines three values
     concave = all(
         values[i] >= 0.5 * (values[i - 1] + values[i + 1]) - 2.0 * eps
         for i in range(1, len(values) - 1)
@@ -358,12 +350,12 @@ def _check_threshold_minimizer(surface, config, costs, index_table, seed, n_beta
     mismatches = []
     for modality in (Modality.M1, Modality.M2):
         gammas = index_table.gamma(modality)
-        if gammas:
-            lo, hi = min(gammas) - 1.0, max(gammas) + 1.0
-        else:
-            lo, hi = -bound - 1.0, bound + 1.0
-        betas = np.append(rng.uniform(lo, hi, size=n_betas),
-                          [lo - 1.0, hi + 1.0])  # force the unconstrained and saturated cases
+        lo, hi = (min(gammas), max(gammas)) if gammas else (-bound, bound)
+        # a pad in the units of the loss, so rounding cannot absorb it; the two
+        # betas beyond it force the unconstrained and saturated cases
+        pad = max(hi - lo, bound)
+        betas = np.append(rng.uniform(lo - pad, hi + pad, size=n_betas),
+                          [lo - 2.0 * pad, hi + 2.0 * pad])
         slots = np.arange(config.tau_max + 1) * config.transmission_time(modality)
         cost = np.asarray(costs.c1 if modality is Modality.M1 else costs.c2)
         enumerated = np.argmin(cost - slots * betas[:, None], axis=1).tolist()
@@ -392,7 +384,7 @@ def _check_threshold_minimizer(surface, config, costs, index_table, seed, n_beta
               help="testing hook: offset added to l_opt before certification")
 @click.option("--out", type=click.Path(), default=None,
               help="directory for report.json and manifest.json")
-def verify(surface_path, gen_spec, d1, d2, t1, t2, tau_max, tol, seed, n_betas,
+def verify(surface_path, gen_spec, d1, d2, t1, t2, tau_max, seed, n_betas,
            grid_points, inject_perturb, out):
     """Cross-check the solver: oracle search, Bellman certificate, shape properties."""
     try:
@@ -402,14 +394,14 @@ def verify(surface_path, gen_spec, d1, d2, t1, t2, tau_max, tol, seed, n_betas,
             raise ValueError(f"--betas must be >= 0, got {n_betas}")
         config = SystemConfig(t1, t2, tau_max)
         surface, surface_tokens, sha = _resolve_surface(surface_path, gen_spec, d1, d2, config)
-        solution = solve_threshold(surface, config, tol)
+        solution = solve_threshold(surface, config)
         l_checked = solution.l_opt + inject_perturb
 
         oracle = brute_force_optimal(surface, config)
         gap = abs(l_checked - oracle.best_avg_cost)
         checks = {
             "solver_oracle": {
-                "ok": bool(gap <= 10.0 * tol and oracle.is_tie(solution.policy)),
+                "ok": bool(gap <= oracle.tie_tolerance and oracle.is_tie(solution.policy)),
                 "l_opt": l_checked,
                 "oracle_best": oracle.best_avg_cost,
                 "gap": gap,
@@ -417,7 +409,10 @@ def verify(surface_path, gen_spec, d1, d2, t1, t2, tau_max, tol, seed, n_betas,
                 "oracle_policy": {"tau1": oracle.best_policy.tau1,
                                   "tau2": oracle.best_policy.tau2},
             },
-            "bellman": verify_bellman(surface, config, solution.policy, l_checked).to_dict(),
+            # a gap compares two values, and a policy in the tie set may sit
+            # above the minimum by a third value's rounding
+            "bellman": verify_bellman(surface, config, solution.policy, l_checked,
+                                      tol=3.0 * _value_rounding(surface, config)).to_dict(),
             "g_properties": _check_g_properties(surface, config, solution.costs,
                                                 solution.index_table, grid_points),
             "threshold_minimizer": _check_threshold_minimizer(surface, config, solution.costs,
@@ -433,7 +428,7 @@ def verify(surface_path, gen_spec, d1, d2, t1, t2, tau_max, tol, seed, n_betas,
         "policy": {"tau1": solution.policy.tau1, "tau2": solution.policy.tau2},
         "l_opt": solution.l_opt,
         "inject_perturb": inject_perturb,
-        "config": {"t1": config.t1, "t2": config.t2, "tau_max": config.tau_max, "tol": tol},
+        "config": {"t1": config.t1, "t2": config.t2, "tau_max": config.tau_max},
         "surface_sha256": sha,
         "checks": checks,
     }
@@ -441,9 +436,9 @@ def verify(surface_path, gen_spec, d1, d2, t1, t2, tau_max, tol, seed, n_betas,
     if out is not None:
         os.makedirs(out, exist_ok=True)
         _write_json(report, os.path.join(out, "report.json"))
-        argv = (["verify"] + surface_tokens + _config_tokens(config, tol)
+        argv = (["verify"] + surface_tokens + _config_tokens(config)
                 + ["--seed", str(seed), "--betas", str(n_betas),
-                   "--grid", str(grid_points), "--inject-perturb", _fmt(inject_perturb)])
+                   "--grid", str(grid_points), "--inject-perturb", repr(inject_perturb)])
         _write_manifest(out, "verify", argv, sha, [seed], ["report.json"])
     if not ok:
         raise SystemExit(2)

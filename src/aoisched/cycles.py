@@ -141,9 +141,9 @@ def restart_path(surface: LossSurface, config: SystemConfig, modality: Modality)
     switch only and its remaining entries are NaN.
 
     With n the longest full cycle and M = max(bound_m, 1), no intermediate of
-    the tables, the oracle, the solver's widened bracket (|beta| <= 2M + 1) or
-    verify's betas exceeds 16 * n * M; a surface for which that is not finite
-    raises SurfaceError.
+    the tables, the oracle, the Bellman check or verify's betas (|beta| <=
+    5 * max|gamma| + 2M) exceeds 16 * n * M; a surface for which that is not
+    finite raises SurfaceError.
     """
     d1_req, d2_req = required_domain(config)
     if not surface.covers(d1_req, d2_req):

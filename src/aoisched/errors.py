@@ -40,10 +40,3 @@ class OutOfDomain(LookupError):
         # processes pickle their exceptions back to the parent
         return (OutOfDomain, (self.delta1, self.delta2, self.d1_max, self.d2_max, self.note))
 
-
-class BracketError(ArithmeticError):
-    """Root bracketing failed: the balance function does not change sign.
-
-    Usually means the surface and system configuration are inconsistent
-    (the optimal average cost does not fall inside the surface's bound).
-    """

@@ -25,6 +25,7 @@ import numpy as np
 
 from .cycles import (Modality, RestartState, StationaryPolicy, SystemConfig,
                      full_cycle_length)
+from .errors import SurfaceError
 from .surface import LossSurface
 
 
@@ -146,11 +147,19 @@ def run(surface: LossSurface, config: SystemConfig, policy: PolicyKind, horizon:
     exactly.  ``total_loss`` adds the losses one slot at a time, starting from
     0.0.  A slot whose age pair lies beyond the grid reads the loss at the
     ages clamped to the grid edge and counts once in ``clamp_count``.
+
+    ``total_loss`` sums ``horizon`` losses of at most bound_m each, so with
+    rounding it stays within horizon * bound_m * (1 + horizon * eps); a
+    surface for which that is not finite raises SurfaceError before the run.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
+    eps = float(np.finfo(np.float64).eps)
+    if not np.isfinite(horizon * surface.bound_m * (1.0 + horizon * eps)):
+        raise SurfaceError(f"surface bound_m={surface.bound_m!r} too large for horizon={horizon}: "
+                           f"the sum over {horizon} slots can overflow")
     if initial_state is None:
         initial_state = RestartState(Modality.M1)
     total_slots = warmup + horizon
@@ -262,8 +271,7 @@ def _snap_to_cycles(horizon: int, cycle: int) -> int:
 
 def compare_policies(surface: LossSurface, config: SystemConfig, horizon: int,
                      seeds: tuple[int, ...] = (1, 2, 3, 4, 5),
-                     include: tuple[str, ...] = ("index", "rr", "rand"),
-                     tol: float = 1e-9) -> PolicyComparison:
+                     include: tuple[str, ...] = ("index", "rr", "rand")) -> PolicyComparison:
     """Average losses of the index policy and baselines on one instance.
 
     Deterministic policies run over the largest whole number of their cycles
@@ -280,7 +288,7 @@ def compare_policies(surface: LossSurface, config: SystemConfig, horizon: int,
     l_opt = None
     for label in include:
         if label == "index":
-            solution = solve_threshold(surface, config, tol)
+            solution = solve_threshold(surface, config)
             index_policy = solution.policy
             l_opt = solution.l_opt
             cycle = full_cycle_length(config, index_policy)

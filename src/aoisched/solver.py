@@ -4,10 +4,14 @@ The optimal schedule switches modalities the first time the current modality's
 index reaches the optimal average loss.  The index of staying for another run
 after theta runs is the cheapest per-slot rate at which the half-cycle cost
 can be extended, minimized over how many further runs the extension spans.
-The optimal average loss itself is the unique root of a balance function g:
-total cycle cost of the threshold policy at beta, minus beta times its cycle
-length.  g is concave, continuous, and strictly decreasing, so bisection on a
-bracket derived from the surface bound always lands on the root.
+The optimal average loss itself is the smallest cycle-cost ratio C(p) / L(p)
+over threshold policies p, the root of the balance function g: total cycle
+cost of the threshold policy at beta, minus beta times its cycle length.
+Dinkelbach iteration finds it exactly: the thresholds at beta minimize
+C(p) - beta * L(p), so a policy read off the index table at the current ratio
+either has a strictly smaller ratio or certifies that the current one is the
+minimum.  The ratios strictly decrease over a finite set of policies, so the
+loop ends, and no tolerance is involved.
 
 Both tables are sums over ``cycles.restart_path``, the losses one gather
 reads for each modality.  An index value's extension cost is built from row
@@ -20,14 +24,13 @@ them a second time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .cycles import CostTable, Modality, StationaryPolicy, SystemConfig, restart_path
-from .errors import BracketError
+from .cycles import (CostTable, Modality, StationaryPolicy, SystemConfig, full_cycle_length,
+                     restart_path)
 from .surface import LossSurface
-
-_MAX_BISECT = 500
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,12 @@ class IndexTable:
 
     def witness(self, modality: Modality) -> tuple[int, ...]:
         return self.witness1 if modality is Modality.M1 else self.witness2
+
+    @cached_property
+    def _running_max(self) -> tuple[np.ndarray, np.ndarray]:
+        # tau_opt's search keys, built once per table rather than once per beta
+        return tuple(np.maximum.accumulate(np.asarray(g, dtype=np.float64))
+                     for g in (self.gamma1, self.gamma2))
 
 
 def _row_sums(block: np.ndarray) -> np.ndarray:
@@ -106,10 +115,8 @@ def tau_opt(index_table: IndexTable, config: SystemConfig,
     if index_table.tau_max != config.tau_max:
         raise ValueError(f"index table built for tau_max={index_table.tau_max}, "
                          f"config has {config.tau_max}")
-    for theta, value in enumerate(index_table.gamma(modality)):
-        if value >= beta:
-            return theta
-    return config.tau_max
+    # theta reaches beta exactly when the running maximum up to theta does
+    return int(np.searchsorted(index_table._running_max[modality - 1], beta, "left"))
 
 
 def g_value(surface: LossSurface, config: SystemConfig, index_table: IndexTable,
@@ -124,80 +131,63 @@ def g_value(surface: LossSurface, config: SystemConfig, index_table: IndexTable,
 
 @dataclass(frozen=True)
 class ThresholdSolution:
-    """Root of the balance function and the threshold policy it certifies.
+    """The optimal average loss and the threshold policy that attains it.
 
-    ``bracket`` is the final bisection interval (width <= tol) and l_opt its
-    midpoint; ``residual`` is g(l_opt).  ``saturated`` flags a policy pinned
-    at tau_max, where a larger cap might still lower the average loss.
-    ``costs`` and ``index_table`` are the tables the root was found on, kept
-    so callers reuse them instead of building them again.
+    ``l_opt`` is the policy's average loss, computed as the oracle computes
+    its table entry, so the two agree bitwise.  ``iterations`` counts the
+    policies Dinkelbach iteration read off the index table; ``residual`` is
+    g(l_opt), zero up to rounding.  ``saturated`` flags a policy pinned at
+    tau_max, where a larger cap might still lower the average loss.
+    ``costs`` and ``index_table`` are the tables the policy was found on,
+    kept so callers reuse them instead of building them again.
     """
 
     l_opt: float
     policy: StationaryPolicy
     iterations: int
     residual: float
-    bracket: tuple[float, float]
     saturated: bool
     costs: CostTable = field(compare=False, repr=False)
     index_table: IndexTable = field(compare=False, repr=False)
 
 
 def solve_threshold(surface: LossSurface, config: SystemConfig,
-                    tol: float = 1e-9) -> ThresholdSolution:
-    """Find the optimal average loss and its threshold policy by bisection.
+                    tol=None) -> ThresholdSolution:
+    """Find the optimal average loss and its threshold policy by Dinkelbach iteration.
 
-    The initial bracket is [-bound_m, +bound_m]: every policy's average loss
-    is a mean of surface values, so the root lies inside.  One widening pass
-    absorbs the boundary case where the root sits exactly on the bound; a
-    bracket that still fails to straddle the root raises BracketError.
-    Bisection continues until both the bracket width and the residual at the
-    midpoint are within tol.
+    Starting from policy (0, 0) with beta its average loss, each step reads
+    the thresholds at beta off the index table.  The loop stops at the first
+    policy whose average is not strictly below beta and returns the one
+    before it.  ``tol`` is ignored: it remains only because
+    perfbench/workloads.py:446 passes it positionally and
+    tests/test_benchmark_api.py:52 pins that call.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     costs = CostTable(surface, config)
     index_table = build_index_table(surface, config)
 
-    def g(beta: float) -> float:
-        return g_value(surface, config, index_table, beta, costs=costs)
+    def average(policy: StationaryPolicy) -> float:
+        return ((costs.c1[policy.tau1] + costs.c2[policy.tau2])
+                / full_cycle_length(config, policy))
 
-    bound = surface.bound_m
-    lo, hi = -bound, bound
-    if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
-    if not (g(lo) >= 0.0 >= g(hi)):
-        lo, hi = 2.0 * lo - 1.0, 2.0 * hi + 1.0
-        if not (g(lo) >= 0.0 >= g(hi)):
-            raise BracketError(
-                f"balance function does not change sign on [{lo}, {hi}]; "
-                "surface and configuration are inconsistent")
-
+    policy = StationaryPolicy(0, 0)
+    l_opt = average(policy)
     iterations = 0
-    while iterations < _MAX_BISECT:
-        mid = 0.5 * (lo + hi)
+    while True:
         iterations += 1
-        if g(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol and abs(g(0.5 * (lo + hi))) <= tol:
+        candidate = StationaryPolicy(tau_opt(index_table, config, Modality.M1, l_opt),
+                                     tau_opt(index_table, config, Modality.M2, l_opt))
+        value = average(candidate)
+        if not value < l_opt:
             break
+        policy, l_opt = candidate, value
 
-    l_opt = 0.5 * (lo + hi)
-    # the policy is read at the left bracket end: g(lo) >= 0 puts lo at or
-    # below the root, where the inclusive threshold comparison is stable even
-    # when many decisions tie exactly at the optimum (constant surfaces)
-    policy = StationaryPolicy(tau_opt(index_table, config, Modality.M1, lo),
-                              tau_opt(index_table, config, Modality.M2, lo))
     saturated = config.tau_max > 0 and (policy.tau1 == config.tau_max
                                         or policy.tau2 == config.tau_max)
     return ThresholdSolution(
         l_opt=l_opt,
         policy=policy,
         iterations=iterations,
-        residual=g(l_opt),
-        bracket=(lo, hi),
+        residual=g_value(surface, config, index_table, l_opt, costs=costs),
         saturated=saturated,
         costs=costs,
         index_table=index_table,

@@ -102,6 +102,13 @@ GENERATORS: dict[str, tuple[tuple[str, float | None], ...]] = {
 }
 
 
+# Largest generated grid, in bytes of float64 values.  The generators build
+# temporaries of the grid's size, so a grid near the host's memory dies in a
+# MemoryError traceback or gets the process killed instead of being refused.
+# 1 GiB admits tau_max=5000 at t1=t2=1 (a 5002x5002 grid, 200 MB).
+_GRID_BUDGET = 2 ** 30
+
+
 @dataclass(frozen=True)
 class SurfaceSpec:
     """Recipe for a generated surface: generator name, grid size, parameters."""
@@ -139,6 +146,9 @@ def generate_surface(spec: SurfaceSpec) -> LossSurface:
     """Evaluate a generator spec on its grid.  Deterministic: equal specs give bitwise-equal grids."""
     if spec.d1_max < 1 or spec.d2_max < 1:
         raise BadSpec(f"grid dimensions must be >= 1, got {spec.d1_max}x{spec.d2_max}")
+    if spec.d1_max * spec.d2_max * 8 > _GRID_BUDGET:
+        raise BadSpec(f"grid {spec.d1_max}x{spec.d2_max} needs {spec.d1_max * spec.d2_max * 8} "
+                      f"bytes, over the budget of {_GRID_BUDGET}")
     p = _resolve_params(spec.generator, dict(spec.params))
     d1 = np.arange(1, spec.d1_max + 1, dtype=np.float64)[:, None]
     d2 = np.arange(1, spec.d2_max + 1, dtype=np.float64)[None, :]

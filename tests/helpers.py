@@ -173,6 +173,16 @@ def reference_index_column(surface: LossSurface, config: SystemConfig,
     return tuple(gamma), tuple(witness)
 
 
+# The threshold scan, kept as the reference ``tau_opt``'s search must reproduce.
+def reference_tau_opt(index_table, config: SystemConfig, modality: Modality,
+                      beta: float) -> int:
+    """Threshold decision: first theta whose index reaches beta, capped at tau_max."""
+    for theta, value in enumerate(index_table.gamma(modality)):
+        if value >= beta:
+            return theta
+    return config.tau_max
+
+
 # The oracle's and verify's loops over decisions, kept as the references the
 # array expressions in ``aoisched.oracle`` and ``aoisched.cli`` must reproduce
 # bitwise.
@@ -269,11 +279,12 @@ def reference_threshold_minimizer(surface, config, costs, index_table, seed, n_b
     for modality in (Modality.M1, Modality.M2):
         gammas = index_table.gamma(modality)
         if gammas:
-            lo, hi = min(gammas) - 1.0, max(gammas) + 1.0
+            lo, hi = min(gammas), max(gammas)
         else:
-            lo, hi = -bound - 1.0, bound + 1.0
-        betas = [float(b) for b in rng.uniform(lo, hi, size=n_betas)]
-        betas += [lo - 1.0, hi + 1.0]  # force the unconstrained and saturated cases
+            lo, hi = -bound, bound
+        pad = max(hi - lo, bound)
+        betas = [float(b) for b in rng.uniform(lo - pad, hi + pad, size=n_betas)]
+        betas += [lo - 2.0 * pad, hi + 2.0 * pad]  # force the unconstrained and saturated cases
         t_m = config.transmission_time(modality)
         for beta in betas:
             objective = [costs.cost(modality, tau) - tau * t_m * beta

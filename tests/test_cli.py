@@ -64,6 +64,14 @@ class TestSolve:
         result = runner.invoke(main, ["solve"] + UNIT)
         assert result.exit_code == 1
 
+    def test_grid_over_the_budget_is_refused(self, runner):
+        result = _invoke(runner, ["solve", "--gen", "aoi_sum", "--t1", "1", "--t2", "1",
+                                  "--tau-max", "1000000"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == ("error: grid 1000002x1000002 needs 8000032000032 bytes, "
+                                 "over the budget of 1073741824\n")
+
     def test_undersized_generated_grid(self, runner):
         result = runner.invoke(main, ["solve", "--gen", "aoi_sum",
                                       "--d1", "3", "--d2", "3"] + UNIT)
@@ -207,6 +215,9 @@ class TestVerify:
         ["--gen", "aoi_sum", "--t1", "2", "--t2", "3", "--tau-max", "150"],
         # every policy ties exactly; the long cycle sums round apart by more than 1e-12
         ["--gen", "constant:value=37.31", "--t1", "2", "--t2", "8", "--tau-max", "250"],
+        # nonmono_nonsep's amplitudes times 1e9: the Bellman gaps are rounding of about 1e-5
+        ["--gen", "nonmono_nonsep:base=1e9,a1=6e9,a2=1.5e9,cross=2e9,dip=1.2e9",
+         "--t1", "5", "--t2", "7", "--tau-max", "100"],
     ])
     def test_rounding_is_not_a_failure(self, runner, args):
         result = _invoke(runner, ["verify"] + args)
@@ -281,9 +292,33 @@ class TestOverflowingSurface:
         # 16 * n * bound_m = 16 * 8 * 1.4e306 is just below the largest float
         path = _alternating_surface(tmp_path / "s.json", 1.4e306)
         result = _invoke(runner, command + ["--surface", path] + UNIT)
-        assert result.exit_code in (0, 2)  # verify runs to the end but may report a check
+        assert result.exit_code == 0
         assert result.stderr == ""
         json.loads(result.stdout, parse_constant=_reject_constant)
+
+    def test_verify_certifies_rows_of_1e306(self, runner, tmp_path):
+        """All gammas are equal and near 1e306; the sampled betas must stay off
+        that value, where every decision ties."""
+        path = _alternating_surface(tmp_path / "s.json", 1e306)
+        result = _invoke(runner, ["verify", "--surface", path] + UNIT)
+        assert result.exit_code == 0, result.stdout
+
+    SIMULATE = ["simulate", "--gen", "constant:value=1e305", "--policy", "rr"] + UNIT
+
+    def test_simulated_sum_that_can_overflow_is_rejected(self, runner):
+        result = _invoke(runner, self.SIMULATE + ["--horizon", "10000"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == ("error: surface bound_m=1e+305 too large for horizon=10000: "
+                                 "the sum over 10000 slots can overflow\n")
+
+    def test_simulated_sum_just_under_the_bound_prints_finite_json(self, runner):
+        # 1797 * 1e305 is just below the largest float, 1798 * 1e305 above it
+        result = _invoke(runner, self.SIMULATE + ["--horizon", "1797"])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        json.loads(result.stdout, parse_constant=_reject_constant)
+        assert _invoke(runner, self.SIMULATE + ["--horizon", "1798"]).exit_code == 1
 
 
 class TestGenSurface:

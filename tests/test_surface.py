@@ -12,6 +12,7 @@ from aoisched import (BadSpec, HoleError, LossSurface, Modality,
                       NonFiniteError, OutOfDomain, ParseError, SurfaceSpec,
                       SystemConfig, cycle_cost, generate_surface, load_surface,
                       parse_generator_spec, required_domain, save_surface)
+from aoisched.surface import _GRID_BUDGET
 from helpers import make_surface
 
 
@@ -114,6 +115,14 @@ class TestGenerators:
         prof_a = np.diff([s.eval(1, j) for j in range(1, 31)])
         prof_b = np.diff([s.eval(20, j) for j in range(1, 31)])
         assert not np.allclose(prof_a, prof_b)
+
+    def test_grid_over_the_budget_is_refused_before_allocation(self):
+        d1, d2 = required_domain(SystemConfig(1, 1, 5000))
+        assert d1 * d2 * 8 <= _GRID_BUDGET
+        with pytest.raises(BadSpec, match="over the budget"):
+            generate_surface(SurfaceSpec("aoi_sum", 2 ** 20, 2 ** 20, {}))
+        with pytest.raises(BadSpec, match="over the budget"):  # one cell over
+            generate_surface(SurfaceSpec("constant", _GRID_BUDGET // 8 + 1, 1, {"value": 1.0}))
 
     def test_generation_is_deterministic(self):
         spec = SurfaceSpec("nonmono_nonsep", 40, 30, {"dip": 1.7})
