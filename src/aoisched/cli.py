@@ -56,6 +56,12 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
+def _make_out(out) -> None:
+    """Create the --out directory, if any, before the work, so a bad path fails first."""
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
+
+
 def _write_manifest(directory, subcommand: str, argv: list[str], surface_sha256: str,
                     seeds: list[int], outputs: list[str], path=None) -> None:
     manifest = {
@@ -152,6 +158,7 @@ def solve(surface_path, gen_spec, d1, d2, t1, t2, tau_max, out):
     """Compute the optimal threshold policy and its average loss."""
     try:
         config = SystemConfig(t1, t2, tau_max)
+        _make_out(out)
         surface, surface_tokens, sha = _resolve_surface(surface_path, gen_spec, d1, d2, config)
         solution = solve_threshold(surface, config)
         payload = _solution_payload(surface, config, solution, sha)
@@ -159,7 +166,6 @@ def solve(surface_path, gen_spec, d1, d2, t1, t2, tau_max, out):
         _fail(str(exc))
     click.echo(_dump_json(payload))
     if out is not None:
-        os.makedirs(out, exist_ok=True)
         _write_json(payload, os.path.join(out, "solution.json"))
         argv = ["solve"] + surface_tokens + _config_tokens(config)
         _write_manifest(out, "solve", argv, sha, [], ["solution.json"])
@@ -185,6 +191,7 @@ def simulate(surface_path, gen_spec, d1, d2, t1, t2, tau_max, policy_name,
     """Simulate one policy and report its measured average loss."""
     try:
         config = SystemConfig(t1, t2, tau_max)
+        _make_out(out)
         surface, surface_tokens, sha = _resolve_surface(surface_path, gen_spec, d1, d2, config)
         if policy_name == "index":
             solution = solve_threshold(surface, config)
@@ -199,7 +206,6 @@ def simulate(surface_path, gen_spec, d1, d2, t1, t2, tau_max, policy_name,
     summary = trace.summary.to_dict()
     click.echo(_dump_json(summary))
     if out is not None:
-        os.makedirs(out, exist_ok=True)
         write_trace_csv(trace, os.path.join(out, "trace.csv"))
         write_transmissions_csv(trace, os.path.join(out, "transmissions.csv"))
         _write_json(summary, os.path.join(out, "summary.json"))
@@ -263,6 +269,7 @@ def sweep(surface_path, gen_spec, d1, d2, t1_list, t2_list, tau_max, policies,
             raise ValueError(f"--jobs must be >= 1, got {jobs}")
         # one surface serves every cell: size it for the largest requirement
         fit_config = SystemConfig(max(t1s), max(t2s), tau_max)
+        _make_out(out)
         surface, surface_tokens, sha = _resolve_surface(surface_path, gen_spec, d1, d2, fit_config)
         cells = sorted((a, b) for a in set(t1s) for b in set(t2s))
         args = [(surface, a, b, tau_max, horizon, seed_list, policy_list)
@@ -288,7 +295,6 @@ def sweep(surface_path, gen_spec, d1, d2, t1_list, t2_list, tau_max, policies,
     if out is None:
         click.echo(text, nl=False)
     else:
-        os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "sweep.csv"), "w") as fh:
             fh.write(text)
         argv = (["sweep"] + surface_tokens
@@ -393,6 +399,7 @@ def verify(surface_path, gen_spec, d1, d2, t1, t2, tau_max, seed, n_betas,
         if n_betas < 0:
             raise ValueError(f"--betas must be >= 0, got {n_betas}")
         config = SystemConfig(t1, t2, tau_max)
+        _make_out(out)
         surface, surface_tokens, sha = _resolve_surface(surface_path, gen_spec, d1, d2, config)
         solution = solve_threshold(surface, config)
         l_checked = solution.l_opt + inject_perturb
@@ -434,7 +441,6 @@ def verify(surface_path, gen_spec, d1, d2, t1, t2, tau_max, seed, n_betas,
     }
     click.echo(_dump_json(report))
     if out is not None:
-        os.makedirs(out, exist_ok=True)
         _write_json(report, os.path.join(out, "report.json"))
         argv = (["verify"] + surface_tokens + _config_tokens(config)
                 + ["--seed", str(seed), "--betas", str(n_betas),

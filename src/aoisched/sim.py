@@ -18,7 +18,6 @@ itself is only read.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,23 +218,36 @@ def run(surface: LossSurface, config: SystemConfig, policy: PolicyKind, horizon:
     return SimTrace(d1, d2, loss, transmissions, summary)
 
 
+# the writers format this many slots (or transmissions) per write
+_BLOCK_SLOTS = 4096
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each value, computed once per distinct bit pattern (so -0.0 stays -0.0)."""
+    distinct, where = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = list(map(repr, distinct.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, where.tolist()))
+
+
 def write_trace_csv(trace: SimTrace, path) -> None:
-    """Per-slot trace: t,delta1,delta2,loss."""
+    """Per-slot trace: t,delta1,delta2,loss, with CRLF line ends and losses by ``repr``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "delta1", "delta2", "loss"])
-        d1, d2 = trace.delta1.tolist(), trace.delta2.tolist()
-        for t, value in enumerate(trace.loss.tolist()):
-            writer.writerow([t, d1[t], d2[t], repr(value)])
+        fh.write("t,delta1,delta2,loss\r\n")
+        for start in range(0, trace.slots, _BLOCK_SLOTS):
+            stop = min(start + _BLOCK_SLOTS, trace.slots)
+            fh.write("".join(map("%d,%d,%d,%s\r\n".__mod__, zip(
+                range(start, stop), trace.delta1[start:stop].tolist(),
+                trace.delta2[start:stop].tolist(), _float_texts(trace.loss[start:stop])))))
 
 
 def write_transmissions_csv(trace: SimTrace, path) -> None:
-    """Per-transmission log: n,modality,start,delivery."""
+    """Per-transmission log: n,modality,start,delivery, with CRLF line ends."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "modality", "start", "delivery"])
-        for n, (modality, start, delivery) in enumerate(trace.transmissions.tolist()):
-            writer.writerow([n, modality, start, delivery])
+        fh.write("n,modality,start,delivery\r\n")
+        for start in range(0, len(trace.transmissions), _BLOCK_SLOTS):
+            block = trace.transmissions[start:start + _BLOCK_SLOTS]
+            fh.write("".join(map("%d,%d,%d,%d\r\n".__mod__, zip(
+                range(start, start + len(block)), *block.T.tolist()))))
 
 
 # ---------------------------------------------------------------------------

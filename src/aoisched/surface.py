@@ -15,6 +15,7 @@ it had to (``sim.run``).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BadSpec, HoleError, NonFiniteError, OutOfDomain, ParseError
+from .errors import (BadSpec, HoleError, NonFiniteError, OutOfDomain, ParseError,
+                     SurfaceError)
 
 if TYPE_CHECKING:
     from .cycles import SystemConfig
@@ -220,15 +222,30 @@ def parse_generator_spec(text: str) -> tuple[str, dict[str, float]]:
 
 # ---------------------------------------------------------------------------
 # file formats
+#
+# The codecs work in blocks of _BLOCK_ROWS file rows (CSV) or values (JSON),
+# so their working memory stays bounded whatever the grid size.  A loader
+# converts a block with array operations; a block that breaks a rule is read
+# again row by row, so that every error names the first bad line or cell.
 
 _CSV_HEADER = ["delta1", "delta2", "loss"]
+_BLOCK_ROWS = 4096
+
+
+def _over_budget(rows: int, cols: int) -> bool:
+    return rows * cols * 8 > _GRID_BUDGET
+
+
+def _budget_message(rows: int, cols: int) -> str:
+    return f"grid {rows}x{cols} needs {rows * cols * 8} bytes, over the budget of {_GRID_BUDGET}"
 
 
 def load_surface(path) -> LossSurface:
     """Load a surface from CSV (``delta1,delta2,loss``) or JSON (by ``.json`` extension).
 
     The grid size is inferred from the largest coordinates present; every cell
-    of the implied rectangle must appear exactly once.
+    of the implied rectangle must appear exactly once, and the grid must fit in
+    ``_GRID_BUDGET`` bytes.  Errors name the first bad line (CSV) or cell (JSON).
     """
     name = os.fspath(path)
     if name.endswith(".json"):
@@ -236,47 +253,149 @@ def load_surface(path) -> LossSurface:
     return _load_csv(name)
 
 
+def _csv_cell(path: str, lineno: int, row: list[str]):
+    """One CSV row by the per-row rules: None for a blank row, else (d1, d2, loss)."""
+    if not row or all(not f.strip() for f in row):
+        return None
+    if len(row) != 3:
+        raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+    try:
+        d1 = int(row[0])
+        d2 = int(row[1])
+        loss = float(row[2])
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from None
+    if d1 < 1 or d2 < 1:
+        raise ParseError(f"{path}:{lineno}: coordinates must be >= 1, got ({d1}, {d2})")
+    if not math.isfinite(loss):
+        raise NonFiniteError(f"{path}:{lineno}: non-finite loss at ({d1}, {d2})")
+    return d1, d2, loss
+
+
+def _csv_block(path: str, rows: list[list[str]], lineno: int, shape: tuple[int, int]):
+    """The cells of CSV rows that start at line ``lineno``.
+
+    Returns (ids, losses, shape, error): an int64 array of (line, d1, d2) and
+    the losses of the cells before the first bad row, the grid shape those
+    cells imply together with ``shape``, and that row's exception (None when
+    every row is good).  A row is bad when it breaks a per-row rule or when its
+    cell makes the grid larger than the budget.
+    """
+    if set(map(len, rows)) == {3}:
+        c1, c2, c3 = zip(*rows)
+        try:
+            d1 = np.fromiter(map(int, c1), dtype=np.int64, count=len(rows))
+            d2 = np.fromiter(map(int, c2), dtype=np.int64, count=len(rows))
+            loss = np.fromiter(map(float, c3), dtype=np.float64, count=len(rows))
+        except (ValueError, OverflowError):  # a field int() or float() rejects, or beyond int64
+            pass
+        else:
+            grown = (max(shape[0], int(d1.max())), max(shape[1], int(d2.max())))
+            if (d1.min() >= 1 and d2.min() >= 1 and np.isfinite(loss).all()
+                    and not _over_budget(*grown)):
+                lines = np.arange(lineno, lineno + len(rows), dtype=np.int64)
+                return np.column_stack((lines, d1, d2)), loss, grown, None
+    cells, error = [], None
+    for line, row in enumerate(rows, start=lineno):
+        try:
+            cell = _csv_cell(path, line, row)
+        except (ParseError, NonFiniteError) as exc:
+            error = exc
+            break
+        if cell is None:
+            continue
+        grown = (max(shape[0], cell[0]), max(shape[1], cell[1]))
+        if _over_budget(*grown):
+            error = ParseError(f"{path}:{line}: cell ({cell[0]}, {cell[1]}): "
+                               + _budget_message(*grown))
+            break
+        shape = grown
+        cells.append((line,) + cell)
+    ids = np.array([c[:3] for c in cells], dtype=np.int64).reshape(-1, 3)
+    return ids, np.array([c[3] for c in cells], dtype=np.float64), shape, error
+
+
+def _until_error(reader, failure: list):
+    """Yield the reader's rows; a decoding or csv error ends the rows and goes to ``failure``."""
+    try:
+        yield from reader
+    except (ValueError, csv.Error) as exc:
+        failure.append(exc)
+
+
+def _cell_index(path: str, ids: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major flat index of each cell, and the sorted distinct indices.
+
+    Raises ParseError at the first line whose cell an earlier line holds.
+    """
+    flat = (ids[:, 1] - 1) * cols + (ids[:, 2] - 1)
+    distinct, first = np.unique(flat, return_index=True)
+    if len(distinct) < len(flat):
+        later = np.ones(len(flat), dtype=bool)
+        later[first] = False
+        line, d1, d2 = ids[np.argmax(later)].tolist()
+        raise ParseError(f"{path}:{line}: duplicate cell ({d1}, {d2})")
+    return flat, distinct
+
+
 def _load_csv(path: str) -> LossSurface:
-    cells: dict[tuple[int, int], float] = {}
+    failure: list[Exception] = []
+    ids, losses = [], []
+    shape = (0, 0)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != _CSV_HEADER:
             raise ParseError(f"{path}: expected header 'delta1,delta2,loss', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                d1 = int(row[0])
-                d2 = int(row[1])
-                loss = float(row[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if d1 < 1 or d2 < 1:
-                raise ParseError(f"{path}:{lineno}: coordinates must be >= 1, got ({d1}, {d2})")
-            if not math.isfinite(loss):
-                raise NonFiniteError(f"{path}:{lineno}: non-finite loss at ({d1}, {d2})")
-            if (d1, d2) in cells:
-                raise ParseError(f"{path}:{lineno}: duplicate cell ({d1}, {d2})")
-            cells[(d1, d2)] = loss
-    if not cells:
+        rows = _until_error(reader, failure)
+        lineno = 2
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            block_ids, block_losses, shape, error = _csv_block(path, block, lineno, shape)
+            ids.append(block_ids)
+            losses.append(block_losses)
+            lineno += len(block)
+            if error is not None:
+                _cell_index(path, np.concatenate(ids), shape[1])  # an earlier duplicate comes first
+                raise error
+    ids = np.concatenate(ids) if ids else np.empty((0, 3), dtype=np.int64)
+    flat, distinct = _cell_index(path, ids, shape[1])
+    if failure:
+        raise failure[0]
+    if not len(flat):
         raise ParseError(f"{path}: no data rows")
-    d1_max = max(c[0] for c in cells)
-    d2_max = max(c[1] for c in cells)
-    missing = [(i, j)
-               for i in range(1, d1_max + 1)
-               for j in range(1, d2_max + 1)
-               if (i, j) not in cells]
+    d1_max, d2_max = shape
+    missing = d1_max * d2_max - len(distinct)
     if missing:
-        shown = ", ".join(str(c) for c in missing[:5])
-        more = "" if len(missing) <= 5 else f" and {len(missing) - 5} more"
-        raise HoleError(f"{path}: grid {d1_max}x{d2_max} is missing {len(missing)} cells: {shown}{more}")
-    grid = np.empty((d1_max, d2_max), dtype=np.float64)
-    for (i, j), loss in cells.items():
-        grid[i - 1, j - 1] = loss
-    return LossSurface(grid)
+        # distinct[k] - k cells are missing below distinct[k], so hole h lies
+        # above the cells with at most h holes below them
+        below = distinct - np.arange(len(distinct))
+        holes = [h + int(np.searchsorted(below, h, side="right")) for h in range(min(missing, 5))]
+        shown = ", ".join(str((h // d2_max + 1, h % d2_max + 1)) for h in holes)
+        more = "" if missing <= 5 else f" and {missing - 5} more"
+        raise HoleError(f"{path}: grid {d1_max}x{d2_max} is missing {missing} cells: {shown}{more}")
+    grid = np.empty(d1_max * d2_max, dtype=np.float64)
+    grid[flat] = np.concatenate(losses)
+    return LossSurface(grid.reshape(d1_max, d2_max))
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _json_error(path: str, rows: list, d2_max: int) -> SurfaceError:
+    """The first bad row or cell in row-major order: a row's length, then each cell's type and finiteness."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != d2_max:
+            return ParseError(f"{path}: row {i} must hold {d2_max} values")
+        for j, value in enumerate(row):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                return ParseError(f"{path}: non-numeric value at ({i + 1}, {j + 1})")
+            if not _finite(value):
+                return NonFiniteError(f"{path}: non-finite loss at ({i + 1}, {j + 1})")
+    raise AssertionError("no bad cell")  # pragma: no cover - callers found one
 
 
 def _load_json(path: str) -> LossSurface:
@@ -291,26 +410,33 @@ def _load_json(path: str) -> LossSurface:
         if key not in data:
             raise ParseError(f"{path}: missing key {key!r}")
     d1_max, d2_max = data["d1_max"], data["d2_max"]
-    if not isinstance(d1_max, int) or not isinstance(d2_max, int) or d1_max < 1 or d2_max < 1:
+    if any(type(n) is not int or n < 1 for n in (d1_max, d2_max)):  # bool is not a size
         raise ParseError(f"{path}: d1_max/d2_max must be positive integers")
     rows = data["values"]
     if not isinstance(rows, list) or len(rows) != d1_max:
         raise ParseError(f"{path}: values must hold {d1_max} rows")
-    grid = np.empty((d1_max, d2_max), dtype=np.float64)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != d2_max:
-            raise ParseError(f"{path}: row {i} must hold {d2_max} values")
-        for j, value in enumerate(row):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ParseError(f"{path}: non-numeric value at ({i + 1}, {j + 1})")
-            if not math.isfinite(value):
-                raise NonFiniteError(f"{path}: non-finite loss at ({i + 1}, {j + 1})")
-            grid[i, j] = float(value)
-    return LossSurface(grid)
+    # json gives exactly int or float for numbers (bool is its own type), so
+    # the row lengths and cell types are known before anything is allocated
+    if all(isinstance(row, list) and len(row) == d2_max and set(map(type, row)) <= {int, float}
+           for row in rows):
+        if _over_budget(d1_max, d2_max):
+            raise ParseError(f"{path}: " + _budget_message(d1_max, d2_max))
+        try:
+            grid = np.array(rows, dtype=np.float64)
+        except OverflowError:  # an int beyond the float range
+            grid = None
+        if grid is not None and np.isfinite(grid).all():
+            return LossSurface(grid)
+    raise _json_error(path, rows, d2_max)
 
 
 def save_surface(surface: LossSurface, path, fmt: str | None = None) -> None:
-    """Write a surface to CSV or JSON.  Values round-trip bitwise through load_surface."""
+    """Write a surface to CSV or JSON.  Values round-trip bitwise through load_surface.
+
+    CSV rows are ``d1,d2,repr(loss)`` in row-major order with CRLF line ends;
+    JSON is one object ``{"d1_max": R, "d2_max": C, "values": [[...], ...]}``
+    on one line, floats by ``repr``.
+    """
     name = os.fspath(path)
     if fmt is None:
         fmt = "json" if name.endswith(".json") else "csv"
@@ -318,21 +444,24 @@ def save_surface(surface: LossSurface, path, fmt: str | None = None) -> None:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     grid = surface.values
     if fmt == "csv":
+        flat = grid.ravel()
         with open(name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_HEADER)
-            for i in range(surface.d1_max):
-                for j in range(surface.d2_max):
-                    writer.writerow([i + 1, j + 1, repr(float(grid[i, j]))])
+            fh.write(",".join(_CSV_HEADER) + "\r\n")
+            for start in range(0, flat.size, _BLOCK_ROWS):
+                stop = min(start + _BLOCK_ROWS, flat.size)
+                i, j = np.divmod(np.arange(start, stop), surface.d2_max)
+                fh.write("".join(map("%d,%d,%s\r\n".__mod__, zip(
+                    (i + 1).tolist(), (j + 1).tolist(), map(repr, flat[start:stop].tolist())))))
     else:
-        payload = {
-            "d1_max": surface.d1_max,
-            "d2_max": surface.d2_max,
-            "values": [[float(v) for v in row] for row in grid],
-        }
         with open(name, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+            fh.write(f'{{"d1_max": {surface.d1_max}, "d2_max": {surface.d2_max}, "values": [')
+            for i, row in enumerate(grid):
+                fh.write("[" if i == 0 else "], [")
+                for start in range(0, len(row), _BLOCK_ROWS):
+                    if start:
+                        fh.write(", ")
+                    fh.write(json.dumps(row[start:start + _BLOCK_ROWS].tolist())[1:-1])
+            fh.write("]]}\n")
 
 
 # ---------------------------------------------------------------------------

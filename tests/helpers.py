@@ -1,19 +1,23 @@
-"""Shared test helpers: hand-built surfaces, random instance sampling, scalar references."""
+"""Shared test helpers: hand-built surfaces, random instance sampling, scalar references,
+per-cell file codecs."""
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
-from aoisched import (BellmanCheck, CostTable, IndexThreshold, LossSurface,
-                      Modality, OracleReport, RestartState, RoundRobin,
-                      SimSummary, SimTrace, StationaryPolicy, SurfaceSpec,
-                      SystemConfig, UniformRandom, cycle_duration,
-                      full_cycle_length, generate_surface, required_domain,
-                      tau_opt)
+from aoisched import (BellmanCheck, CostTable, HoleError, IndexThreshold,
+                      LossSurface, Modality, NonFiniteError, OracleReport,
+                      ParseError, RestartState, RoundRobin, SimSummary,
+                      SimTrace, StationaryPolicy, SurfaceSpec, SystemConfig,
+                      UniformRandom, cycle_duration, full_cycle_length,
+                      generate_surface, required_domain, tau_opt)
 from aoisched.sim import _policy_label
 
 
@@ -422,3 +426,117 @@ def reference_run(surface: LossSurface, config: SystemConfig, policy, horizon: i
     )
     return SimTrace(d1, d2, loss, np.array(transmissions, dtype=np.int64).reshape(-1, 3),
                     summary)
+
+
+# The per-cell file codecs, kept as the references the block codecs in
+# ``aoisched.surface`` and ``aoisched.sim`` must reproduce byte for byte (files
+# written) and error for error (files read).
+
+def reference_load_csv(path: str) -> LossSurface:
+    cells: dict[tuple[int, int], float] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header] != ["delta1", "delta2", "loss"]:
+            raise ParseError(f"{path}: expected header 'delta1,delta2,loss', got {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not f.strip() for f in row):
+                continue
+            if len(row) != 3:
+                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            try:
+                d1 = int(row[0])
+                d2 = int(row[1])
+                loss = float(row[2])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if d1 < 1 or d2 < 1:
+                raise ParseError(f"{path}:{lineno}: coordinates must be >= 1, got ({d1}, {d2})")
+            if not math.isfinite(loss):
+                raise NonFiniteError(f"{path}:{lineno}: non-finite loss at ({d1}, {d2})")
+            if (d1, d2) in cells:
+                raise ParseError(f"{path}:{lineno}: duplicate cell ({d1}, {d2})")
+            cells[(d1, d2)] = loss
+    if not cells:
+        raise ParseError(f"{path}: no data rows")
+    d1_max = max(c[0] for c in cells)
+    d2_max = max(c[1] for c in cells)
+    missing = [(i, j)
+               for i in range(1, d1_max + 1)
+               for j in range(1, d2_max + 1)
+               if (i, j) not in cells]
+    if missing:
+        shown = ", ".join(str(c) for c in missing[:5])
+        more = "" if len(missing) <= 5 else f" and {len(missing) - 5} more"
+        raise HoleError(f"{path}: grid {d1_max}x{d2_max} is missing {len(missing)} cells: {shown}{more}")
+    grid = np.empty((d1_max, d2_max), dtype=np.float64)
+    for (i, j), loss in cells.items():
+        grid[i - 1, j - 1] = loss
+    return LossSurface(grid)
+
+
+def reference_load_json(path: str) -> LossSurface:
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    for key in ("d1_max", "d2_max", "values"):
+        if key not in data:
+            raise ParseError(f"{path}: missing key {key!r}")
+    d1_max, d2_max = data["d1_max"], data["d2_max"]
+    if not isinstance(d1_max, int) or not isinstance(d2_max, int) or d1_max < 1 or d2_max < 1:
+        raise ParseError(f"{path}: d1_max/d2_max must be positive integers")
+    rows = data["values"]
+    if not isinstance(rows, list) or len(rows) != d1_max:
+        raise ParseError(f"{path}: values must hold {d1_max} rows")
+    grid = np.empty((d1_max, d2_max), dtype=np.float64)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != d2_max:
+            raise ParseError(f"{path}: row {i} must hold {d2_max} values")
+        for j, value in enumerate(row):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ParseError(f"{path}: non-numeric value at ({i + 1}, {j + 1})")
+            if not math.isfinite(value):
+                raise NonFiniteError(f"{path}: non-finite loss at ({i + 1}, {j + 1})")
+            grid[i, j] = float(value)
+    return LossSurface(grid)
+
+
+def reference_save_surface(surface: LossSurface, path: str, fmt: str) -> None:
+    grid = surface.values
+    if fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["delta1", "delta2", "loss"])
+            for i in range(surface.d1_max):
+                for j in range(surface.d2_max):
+                    writer.writerow([i + 1, j + 1, repr(float(grid[i, j]))])
+    else:
+        payload = {
+            "d1_max": surface.d1_max,
+            "d2_max": surface.d2_max,
+            "values": [[float(v) for v in row] for row in grid],
+        }
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+            fh.write("\n")
+
+
+def reference_write_trace_csv(trace: SimTrace, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "delta1", "delta2", "loss"])
+        d1, d2 = trace.delta1.tolist(), trace.delta2.tolist()
+        for t, value in enumerate(trace.loss.tolist()):
+            writer.writerow([t, d1[t], d2[t], repr(value)])
+
+
+def reference_write_transmissions_csv(trace: SimTrace, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "modality", "start", "delivery"])
+        for n, (modality, start, delivery) in enumerate(trace.transmissions.tolist()):
+            writer.writerow([n, modality, start, delivery])

@@ -321,6 +321,28 @@ class TestOverflowingSurface:
         assert _invoke(runner, self.SIMULATE + ["--horizon", "1798"]).exit_code == 1
 
 
+class TestOutDirectory:
+    COMMANDS = [
+        ["solve", "--gen", "aoi_sum"] + UNIT,
+        ["simulate", "--gen", "aoi_sum", "--policy", "rr", "--horizon", "10"] + UNIT,
+        ["verify", "--gen", "aoi_sum"] + UNIT,
+        ["sweep", "--gen", "aoi_sum", "--t1-list", "1", "--t2-list", "1", "--tau-max", "3"],
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_through_a_file_fails_before_any_output(self, runner, tmp_path, command, below):
+        """--out naming an existing file, or a path below one, exits 1 before the work."""
+        existing = tmp_path / "F"
+        existing.write_text("kept")
+        out = existing / "sub" if below else existing
+        result = _invoke(runner, command + ["--out", str(out)])
+        assert (result.exit_code, result.stdout) == (1, "")
+        reason = "Not a directory" if below else "File exists"
+        assert result.stderr == f"error: [Errno {20 if below else 17}] {reason}: '{out}'\n"
+        assert existing.read_text() == "kept"
+
+
 class TestGenSurface:
     def test_small_grid_csv(self, runner, tmp_path):
         path = tmp_path / "g.csv"
